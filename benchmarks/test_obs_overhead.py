@@ -79,18 +79,15 @@ def _measure_overhead(program, x):
 def test_disabled_profiler_overhead_is_bounded(benchmark):
     def run():
         compiled, program, x = _fused_program()
-        try:
-            ratio, instrumented, raw = _measure_overhead(program, x)
-            if ratio > MAX_DISABLED_OVERHEAD:
-                # Same noise protocol as the engine-speedup gates: wall-clock
-                # ratios this close to 1.0 are scheduler-sensitive, so one
-                # re-measure separates a real regression from a busy slice.
-                retry_ratio, retry_inst, retry_raw = _measure_overhead(program, x)
-                if retry_ratio < ratio:
-                    ratio, instrumented, raw = retry_ratio, retry_inst, retry_raw
-            return ratio, instrumented, raw
-        finally:
-            compiled.detach()
+        ratio, instrumented, raw = _measure_overhead(program, x)
+        if ratio > MAX_DISABLED_OVERHEAD:
+            # Same noise protocol as the engine-speedup gates: wall-clock
+            # ratios this close to 1.0 are scheduler-sensitive, so one
+            # re-measure separates a real regression from a busy slice.
+            retry_ratio, retry_inst, retry_raw = _measure_overhead(program, x)
+            if retry_ratio < ratio:
+                ratio, instrumented, raw = retry_ratio, retry_inst, retry_raw
+        return ratio, instrumented, raw
 
     ratio, instrumented, raw = benchmark.pedantic(run, rounds=1, iterations=1)
     per_forward_us = raw / REPS * 1e6
@@ -120,13 +117,10 @@ def test_profiled_run_attributes_every_op(benchmark):
 
     def run():
         compiled, program, x = _fused_program()
-        try:
-            profiler = EngineProfiler()
-            with program.profiled(profiler):
-                program.run(x)
-            return profiler.report(), len(program)
-        finally:
-            compiled.detach()
+        profiler = EngineProfiler()
+        with program.profiled(profiler):
+            program.run(x)
+        return profiler.report(), len(program)
 
     report, steps = benchmark.pedantic(run, rounds=1, iterations=1)
     assert report["runs"] == 1

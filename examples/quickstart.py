@@ -31,7 +31,7 @@ def main() -> None:
         "model": {"name": "yolov5s", "kwargs": {"num_classes": 3}},
         "framework": {"name": "rtoss-2ep", "trace_size": 64},
         "quantization": {"enabled": True, "bits": 8},
-        "engine": {"enabled": True, "fuse": True, "measure": True,
+        "engine": {"enabled": True, "measure": True,
                    "image_size": 96, "batch": 2, "repeats": 3},
         "evaluation": {"enabled": True, "image_size": 640, "probe_size": 64},
     })
@@ -58,10 +58,6 @@ def main() -> None:
           f"compiled {measurement['compiled_ms']:.0f} ms "
           f"({measurement['measured_speedup']:.2f}x, outputs match to "
           f"{measurement['max_abs_diff']:.1e})")
-    if measurement.get("fused_ms"):
-        print(f"                      fused executor {measurement['fused_ms']:.0f} ms "
-              f"({measurement['fused_speedup']:.2f}x vs dense, "
-              f"{measurement['fusion_speedup']:.2f}x vs eager-compiled)")
     print(f"stage timings (s): {artifact.timings}")
 
     # 3. One portable file: pruned weights + masks + metadata + engine.

@@ -6,8 +6,9 @@ package makes pruning pay off at inference time on the host CPU:
 * :mod:`repro.engine.plan` — compile step: lower each pruned convolution to a
   column-compacted gather + GEMM plan that skips masked taps entirely, with
   layouts cached per (layer, pattern set, input shape),
-* :mod:`repro.engine.compiler` — :func:`compile_model` attaches the plans to a
-  model; the fast path only runs under ``no_grad`` so training stays correct,
+* :mod:`repro.engine.compiler` — :func:`compile_model` lowers a model into
+  the fused executor; the model's own forward stays the dense path, so
+  training stays correct,
 * :mod:`repro.engine.trace` — graph tracer: records one forward pass into a
   flat op-plan list (:class:`~repro.engine.trace.GraphPlan`),
 * :mod:`repro.engine.fuse` — fusion pass + fused executor: folds BatchNorm
@@ -24,18 +25,17 @@ package makes pruning pay off at inference time on the host CPU:
 * :mod:`repro.engine.native` — optional AVX-512 VNNI C kernel backing the
   int8 path (compiled on first use, silently absent on other hosts),
 * :mod:`repro.engine.bench` — :func:`measure_speedup`, wall-clock dense vs
-  eager-compiled vs fused (vs int8) comparison with built-in
-  output-equivalence checks.
+  fused (vs int8) comparison with built-in output-equivalence checks.
 
 Quick use::
 
     from repro.engine import compile_model, measure_speedup
 
     report = RTOSSPruner(RTOSSConfig(entries=2)).prune(model, example)
-    engine = compile_model(model, report.masks)   # fuse=True by default
+    engine = compile_model(model, report.masks)
     outputs = engine(batch)                       # fused no-grad inference
     m = measure_speedup(model, masks=report.masks)
-    print(m.speedup, m.fused_speedup, m.max_abs_diff)
+    print(m.speedup, m.nograd_speedup, m.max_abs_diff)
 """
 
 from repro.engine.arena import WorkspaceArena
@@ -58,7 +58,6 @@ from repro.engine.quant import (
 from repro.engine.plan import (
     ConvPlan,
     compile_conv_plan,
-    execute_plan,
     layout_cache_stats,
     reset_layout_cache_stats,
 )
@@ -80,7 +79,6 @@ __all__ = [
     "calibrate_activation_scales",
     "compile_conv_plan",
     "compile_model",
-    "execute_plan",
     "fuse_graph",
     "layout_cache_stats",
     "lower_int8",

@@ -9,7 +9,8 @@ network on the host CPU and times it.  :func:`measure_speedup` produces an
   im2col convolution), i.e. what every caller paid before the engine existed,
 * ``dense_nograd_seconds`` — the same dense kernels under ``no_grad``; comparing
   against this isolates the execution-strategy win from the tape-overhead win,
-* ``compiled_seconds`` — the pattern-aware compiled engine.
+* ``compiled_seconds`` — the pattern-aware compiled engine (the fused program;
+  the model's own no-grad forward if it cannot be traced).
 
 It also records the max absolute output difference between the dense and the
 compiled paths, so every reported speedup is tied to a verified-equivalent
@@ -47,7 +48,7 @@ def time_callable(fn: Callable[[], object], repeats: int = 5, warmup: int = 1) -
 
 @dataclass
 class EngineMeasurement:
-    """Outcome of one dense-vs-compiled(-vs-fused) wall-clock comparison."""
+    """Outcome of one dense-vs-compiled(-vs-int8) wall-clock comparison."""
 
     model_name: str
     input_shape: Tuple[int, ...]
@@ -60,14 +61,12 @@ class EngineMeasurement:
     fallback_layers: int = 0
     kept_columns: int = 0
     total_columns: int = 0
-    #: Wall-clock of the fused executor (0.0 when fusion was off/unavailable).
-    fused_seconds: float = 0.0
     #: Wall-clock of the int8 fused executor (0.0 when not measured/lowered).
     quantized_seconds: float = 0.0
-    #: Mean |int8 - fp32 fused| over every output element (the error budget
+    #: Mean |int8 - fp32 compiled| over every output element (the error budget
     #: metric); NaN when the int8 path was not measured.
     quantized_mean_abs_error: float = float("nan")
-    #: Max |int8 - fp32 fused| over every output element.
+    #: Max |int8 - fp32 compiled| over every output element.
     quantized_max_abs_error: float = float("nan")
     #: Which integer GEMM kernel executed ("vnni"/"fp32acc"/"int32"; "" when
     #: the int8 path was not measured).  Regression gates only trust the
@@ -91,32 +90,11 @@ class EngineMeasurement:
         return self.dense_nograd_seconds / self.compiled_seconds
 
     @property
-    def fused_speedup(self) -> float:
-        """Fused-executor speedup over the taped dense path (0.0 if unmeasured)."""
-        if not self.fused_seconds:
-            return 0.0
-        return self.dense_seconds / self.fused_seconds
-
-    @property
-    def fused_nograd_speedup(self) -> float:
-        """Fused-executor speedup over the no-grad dense path (0.0 if unmeasured)."""
-        if not self.fused_seconds:
-            return 0.0
-        return self.dense_nograd_seconds / self.fused_seconds
-
-    @property
-    def fusion_speedup(self) -> float:
-        """What fusion itself buys: eager-compiled over fused (0.0 if unmeasured)."""
-        if not self.fused_seconds:
-            return 0.0
-        return self.compiled_seconds / self.fused_seconds
-
-    @property
     def quantized_speedup(self) -> float:
-        """Int8 hot path over the fp32 *fused* path (0.0 if unmeasured)."""
-        if not self.quantized_seconds or not self.fused_seconds:
+        """Int8 hot path over the fp32 compiled path (0.0 if unmeasured)."""
+        if not self.quantized_seconds or not self.compiled_seconds:
             return 0.0
-        return self.fused_seconds / self.quantized_seconds
+        return self.compiled_seconds / self.quantized_seconds
 
     @property
     def column_sparsity(self) -> float:
@@ -136,11 +114,6 @@ class EngineMeasurement:
             "measured_speedup_nograd": round(self.nograd_speedup, 2),
             "max_abs_diff": float(self.max_abs_diff),
         }
-        if self.fused_seconds:
-            row["fused_ms"] = round(self.fused_seconds * 1e3, 2)
-            row["fused_speedup"] = round(self.fused_speedup, 2)
-            row["fused_speedup_nograd"] = round(self.fused_nograd_speedup, 2)
-            row["fusion_speedup"] = round(self.fusion_speedup, 2)
         if self.quantized_seconds:
             row["quantized_ms"] = round(self.quantized_seconds * 1e3, 2)
             row["quantized_speedup"] = round(self.quantized_speedup, 2)
@@ -161,11 +134,10 @@ def measure_speedup(
     batch: int = 4,
     seed: int = 0,
     compiled: Optional[CompiledModel] = None,
-    fuse: bool = True,
     int8: bool = False,
     quantization: Optional[Dict[str, object]] = None,
 ) -> EngineMeasurement:
-    """Measure dense vs compiled (and fused) inference latency on the host CPU.
+    """Measure dense vs compiled inference latency on the host CPU.
 
     Parameters
     ----------
@@ -183,21 +155,12 @@ def measure_speedup(
         Runner batch size (defaults to the full input in one batch).
     compiled:
         An existing :class:`CompiledModel` of ``model`` to measure instead of
-        compiling a fresh one (saves a full plan build).  It is detached for
-        the dense measurements and left *attached* on return; without it a
-        temporary engine is compiled and detached before returning, so the
-        model leaves this function exactly as dense-callable as it entered.
-    fuse:
-        Also measure the traced/fused executor: ``compiled_seconds`` always
-        times the eager per-layer engine (so the metric stays comparable
-        across releases) and ``fused_seconds`` times the fused program.  Both
-        paths are equivalence-checked against the dense output; the engine's
-        ``fuse`` flag is restored to this value on return.
+        compiling a fresh one (saves a full plan build).
     int8:
-        Also measure the int8 hot path (requires ``fuse``):
-        ``quantized_seconds`` times the integer lowering of the fused program
-        and ``quantized_mean_abs_error`` records its output deviation from the
-        fp32 fused path (the error-budget metric).  Activation scales come
+        Also measure the int8 hot path: ``compiled_seconds`` still times the
+        fp32 program, ``quantized_seconds`` times its integer lowering and
+        ``quantized_mean_abs_error`` records its output deviation from the
+        fp32 program (the error-budget metric).  Activation scales come
         from ``quantization`` (or the engine's stored metadata); when absent,
         the timing batch itself calibrates them.  The engine's ``int8`` flag
         is restored on return.
@@ -216,12 +179,8 @@ def measure_speedup(
     if masks is not None:
         masks.apply(model)
 
-    # The dense measurements below must not hit a compiled fast path.
-    owns_compiled = compiled is None
-    if compiled is not None:
-        if compiled.model is not model:
-            raise ValueError("`compiled` was built for a different model instance")
-        compiled.detach()
+    if compiled is not None and compiled.model is not model:
+        raise ValueError("`compiled` was built for a different model instance")
 
     # Status-quo dense path: taped autograd forward, exactly what callers ran
     # before the engine existed.
@@ -232,47 +191,33 @@ def measure_speedup(
     dense_runner = BatchRunner(model, batch_size=batch_size)
     dense_nograd_seconds = time_callable(lambda: dense_runner.run(x), repeats, warmup)
 
-    if owns_compiled:
-        compiled = compile_model(model, masks, apply_masks=False, fuse=fuse,
-                                 int8=int8, quantization=quantization)
-    else:
-        compiled.attach()
+    if compiled is None:
+        compiled = compile_model(model, masks, apply_masks=False, int8=int8,
+                                 quantization=quantization)
     try:
         runner = BatchRunner(compiled, batch_size=batch_size)
-        # Eager per-layer engine first: `compiled_seconds` keeps its historical
-        # meaning (PR-1 execution strategy) even now that fusion is on by
-        # default, so speedup baselines stay comparable.
-        compiled.fuse = False
-        compiled_out = runner.run(x)
+        # Time the fp32 program first with the int8 flag parked, so
+        # `compiled_seconds` means the same thing whether or not int8 is on.
+        compiled.int8 = False
+        compiled_out = runner.run(x)  # traces + warms the arena
         max_abs_diff = max_abs_output_diff(compiled_out, dense_out)
         compiled_seconds = time_callable(lambda: runner.run(x), repeats, warmup)
 
-        fused_seconds = 0.0
         quantized_seconds = 0.0
         quantized_mean = float("nan")
         quantized_max = float("nan")
         int8_kernel = ""
-        if fuse:
-            # Time the fp32 fused path first with the int8 flag parked, so the
-            # fused baseline means the same thing whether or not int8 is on.
-            compiled.fuse = True
-            compiled.int8 = False
-            fused_out = runner.run(x)  # warms the trace + arena
-            if compiled.fused_active:
-                max_abs_diff = max(max_abs_diff,
-                                   max_abs_output_diff(fused_out, dense_out))
-                fused_seconds = time_callable(lambda: runner.run(x), repeats, warmup)
-            if int8 and compiled.fused_active:
-                compiled.int8 = True
-                if not compiled.quantization.get("activation_scales"):
-                    compiled.calibrate_int8(x)
-                quantized_out = runner.run(x)  # lowers + warms the int8 arena
-                if compiled.int8_active:
-                    quantized_mean = mean_abs_output_diff(quantized_out, fused_out)
-                    quantized_max = max_abs_output_diff(quantized_out, fused_out)
-                    quantized_seconds = time_callable(
-                        lambda: runner.run(x), repeats, warmup)
-                    int8_kernel = _int8_kernel_census(compiled._int8_program)
+        if int8 and compiled.fused_active:
+            compiled.int8 = True
+            if not compiled.quantization.get("activation_scales"):
+                compiled.calibrate_int8(x)
+            quantized_out = runner.run(x)  # lowers + warms the int8 arena
+            if compiled.int8_active:
+                quantized_mean = mean_abs_output_diff(quantized_out, compiled_out)
+                quantized_max = max_abs_output_diff(quantized_out, compiled_out)
+                quantized_seconds = time_callable(
+                    lambda: runner.run(x), repeats, warmup)
+                int8_kernel = _int8_kernel_census(compiled._int8_program)
 
         mode_census: Dict[str, int] = {}
         for layer_row in compiled.summary():
@@ -291,7 +236,6 @@ def measure_speedup(
             fallback_layers=len(compiled.fallback_layers),
             kept_columns=compiled.kept_columns(),
             total_columns=compiled.total_columns(),
-            fused_seconds=fused_seconds,
             quantized_seconds=quantized_seconds,
             quantized_mean_abs_error=quantized_mean,
             quantized_max_abs_error=quantized_max,
@@ -299,10 +243,7 @@ def measure_speedup(
             mode_census=mode_census,
         )
     finally:
-        compiled.fuse = fuse
         compiled.int8 = int8
-        if owns_compiled:
-            compiled.detach()
     return measurement
 
 

@@ -1,40 +1,36 @@
-"""Model compiler: attach compiled per-layer plans to a pruned model.
+"""Model compiler: lower a pruned model into the fused sparse executor.
 
-:func:`compile_model` walks a model, lowers every eligible convolution into a
-:class:`repro.engine.plan.ConvPlan` and shadows the layer's ``forward`` with the
-compiled fast path.  The shadowing is *gradient-safe*: when autograd is enabled
-(training / fine-tuning) the original dense taped forward runs instead, so an
-attached engine never silently breaks gradients — the fast path is only taken
-under :class:`repro.nn.tensor.no_grad`, which is what :meth:`CompiledModel.__call__`
-and :class:`repro.engine.runner.BatchRunner` use.
+:func:`compile_model` walks a model and lowers every eligible convolution into
+a :class:`repro.engine.plan.ConvPlan`.  The first forward through the returned
+:class:`CompiledModel` traces the model into a flat op plan
+(:mod:`repro.engine.trace`) and lowers it, together with the plans, into a
+:class:`repro.engine.fuse.FusedProgram` — the pruned 3x3 and 1x1 kernels as
+column-compacted GEMMs, BatchNorm folded into the packed conv weights,
+activations fused into the GEMM epilogue, every intermediate written into a
+shape-keyed workspace arena.  Later calls run that program.
 
-With ``fuse=True`` (the default) the first no-grad forward additionally traces
-the model into a flat op plan (:mod:`repro.engine.trace`) and lowers it into a
-:class:`repro.engine.fuse.FusedProgram` — BatchNorm folded into the packed conv
-weights, activations fused into the GEMM epilogue, every intermediate written
-into a shape-keyed workspace arena.  Subsequent no-grad calls run the fused
-program; gradient-enabled calls and untraceable models keep the eager per-layer
-path, so fusion is a pure fast path, never a behavior change.
+The model object itself is never modified: its own forward stays the dense
+reference path, used for training (gradients stay correct) and served by the
+engine only when the model proves untraceable.
 
-Grouped convolutions (``groups > 1``) stay on the dense fallback path and are
-listed in :attr:`CompiledModel.fallback_layers`.
+Grouped convolutions (``groups > 1``) get no plan; the fused program replays
+their modules, and they are listed in :attr:`CompiledModel.fallback_layers`.
 """
 
 from __future__ import annotations
 
 import itertools
 import threading
-import time
 from contextlib import ExitStack, contextmanager
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
 import numpy as np
 
 from repro.core.masks import MaskSet
-from repro.engine.plan import ConvPlan, compile_conv_plan, execute_plan
+from repro.engine.plan import ConvPlan, compile_conv_plan
 from repro.nn.layers.conv import Conv2d
 from repro.nn.module import Module
-from repro.nn.tensor import Tensor, is_grad_enabled, no_grad
+from repro.nn.tensor import Tensor, no_grad
 from repro.utils.logging import get_logger
 
 logger = get_logger("engine.compiler")
@@ -43,68 +39,37 @@ logger = get_logger("engine.compiler")
 _ENGINE_SERIAL = itertools.count(1)
 
 
-def _make_forward(plan: ConvPlan, original_forward: Callable,
-                  owner: "CompiledModel") -> Callable:
-    def forward(x: Tensor) -> Tensor:
-        if is_grad_enabled():
-            # Training / fine-tuning path: keep the taped dense convolution so
-            # gradients stay correct even while the engine is attached.
-            return original_forward(x)
-        profiler = owner._profiler
-        if profiler is not None:
-            # Eager-path profiling: per-layer attribution when the fused trace
-            # is unavailable (untraceable model or fuse=False).
-            started = time.perf_counter()
-            out = Tensor(execute_plan(plan, x.data))
-            profiler.record_op(plan.layer_name, "conv", plan.mode,
-                               time.perf_counter() - started)
-            return out
-        return Tensor(execute_plan(plan, x.data))
-
-    # Markers used by attach()/detach(): the plan itself, the forward the
-    # wrapper shadows, and which CompiledModel installed it (so a second engine
-    # compiled on the same model takes over cleanly instead of stacking).
-    forward._engine_plan = plan
-    forward._engine_original = original_forward
-    forward._engine_owner = owner
-    return forward
-
-
 class CompiledModel:
-    """A model with the pattern-aware execution engine attached.
+    """A pruned model lowered into the fused pattern-aware executor.
 
     Calling a ``CompiledModel`` runs a no-grad, eval-mode forward pass through
-    the compiled per-layer plans; everything the model's own ``forward`` does
-    between convolutions (BatchNorm, activations, concats, residual adds, ...)
-    runs unchanged, so arbitrary architectures are supported.
+    the fused program, traced from the model on the first call.  Composite
+    modules without convolutions (transformer layers, MLP heads) replay
+    through their own forward inside that program, so arbitrary
+    architectures are supported.
 
     Use as::
 
         report = RTOSSPruner(config).prune(model, example)
         engine = compile_model(model, report.masks)
-        out = engine(batch)            # no-grad compiled inference
-        engine.detach()                # restore the plain model
+        out = engine(batch)            # no-grad fused inference
 
-    The underlying model object is shared, not copied: weight updates between
-    calls are picked up via :meth:`refresh`, and gradient-enabled calls on the
-    raw model keep working while the engine is attached.
+    The underlying model object is shared, not copied, and never rewired: its
+    own forward stays the dense reference path (and the training path), and
+    weight updates between calls are picked up via :meth:`refresh`.
 
-    Thread-safety contract (relied on by :mod:`repro.serving`): once attached
-    and in eval mode, concurrent ``__call__`` / :class:`~repro.engine.runner.BatchRunner`
-    use from multiple threads is safe — plan execution only reads compiled
-    state, and the per-shape layout caches take a per-plan lock on miss
-    (:meth:`repro.engine.plan.ConvPlan.layout_for`).  The *lifecycle* methods
-    (:meth:`attach`, :meth:`detach`, :meth:`refresh`) are single-writer: they
-    rewire layer forwards and must not race concurrent inference.  Callers that
-    serve a model warm it with one forward pass first (which settles
-    ``attach()`` and ``eval()``), then fan out; see
-    :class:`repro.serving.pool.ModelPool`.
+    Thread-safety contract (relied on by :mod:`repro.serving`): concurrent
+    ``__call__`` / :class:`~repro.engine.runner.BatchRunner` use from multiple
+    threads is safe — the first forwards serialize on the fuse lock while the
+    model is traced once, each thread then runs the program in its own
+    workspace arena, and the per-shape gather layouts take a per-plan lock on
+    miss (:meth:`repro.engine.plan.ConvPlan.fused_layout_for`).
+    :meth:`refresh` is single-writer and must not race concurrent inference.
     """
 
     # reprolint lock-discipline contract: traced/lowered program state is
     # built lazily by whichever no-grad forward gets there first and mutates
-    # only under the fuse lock.  Lifecycle flags (`_attached`) are
-    # single-writer by the contract above and stay undeclared.
+    # only under the fuse lock.
     _guarded_by_ = {
         "_fused_program": "_fuse_lock",
         "_fuse_failed": "_fuse_lock",
@@ -116,20 +81,16 @@ class CompiledModel:
 
     def __init__(self, model: Module, plans: Dict[str, ConvPlan],
                  fallback_layers: List[str], mask_signature: Optional[str] = None,
-                 fuse: bool = True, int8: bool = False,
+                 int8: bool = False,
                  quantization: Optional[Dict[str, object]] = None) -> None:
         self.model = model
         self.plans = plans
         self.fallback_layers = fallback_layers
         self.mask_signature = mask_signature
-        #: Whether no-grad forwards may use the fused executor.  Toggleable at
-        #: runtime (the benchmark measures eager-vs-fused on one engine); the
-        #: traced program is kept across toggles.
-        self.fuse = fuse
         #: Whether no-grad forwards may use the int8 lowering of the fused
-        #: program (:mod:`repro.engine.quant`).  Also toggleable; requires
-        #: ``fuse``.  When lowering proves impossible (no eligible conv, 16-bit
-        #: codes, untraceable model) the float path keeps serving.
+        #: program (:mod:`repro.engine.quant`).  Toggleable at runtime; when
+        #: lowering proves impossible (no eligible conv, 16-bit codes,
+        #: untraceable model) the float program keeps serving.
         self.int8 = int8
         #: Quantization metadata driving the int8 lowering: ``bits`` and (once
         #: calibrated) ``activation_scales``.  The pipeline seeds this from the
@@ -143,9 +104,7 @@ class CompiledModel:
         #: Per-op EngineProfiler (:meth:`enable_profiling`); ``None`` in
         #: steady state so the executors keep their no-op fast branch.
         self._profiler = None
-        self._attached = False
         self._engine_label = f"{type(model).__name__}#{next(_ENGINE_SERIAL)}"
-        self.attach()
         # Publish arena/engine-mode counters into the process metrics registry
         # (weak collector: this engine's series vanish when it is collected).
         from repro.obs.registry import get_registry
@@ -155,44 +114,15 @@ class CompiledModel:
 
     # ------------------------------------------------------------------ lifecycle
     def attach(self) -> None:
-        """Install the compiled forwards on the model's layers (idempotent).
+        """No-op: the engine never rewires the model's own forwards.
 
-        If another ``CompiledModel`` is currently attached to the same model,
-        its wrappers are replaced (never stacked) and it is marked detached, so
-        at most one engine owns a model's fast path at any time.
+        Kept because ``perfbench/`` brackets its dense measurements with
+        ``detach()`` / ``attach()``; ``compiled.model`` is the dense model at
+        all times.
         """
-        if self._attached:
-            return
-        modules = dict(self.model.named_modules())
-        for name, plan in self.plans.items():
-            layer = modules[name]
-            original = layer.forward
-            current = layer.__dict__.get("forward")
-            if getattr(current, "_engine_plan", None) is not None:
-                # Another engine's wrapper: unwrap it and hand ownership over.
-                previous_owner = getattr(current, "_engine_owner", None)
-                if previous_owner is not None and previous_owner is not self:
-                    previous_owner._attached = False
-                original = current._engine_original
-            layer.forward = _make_forward(plan, original, self)
-        self._attached = True
 
     def detach(self) -> None:
-        """Remove this engine's compiled forwards, restoring the dense model.
-
-        Only wrappers this engine owns are removed — detaching an engine that
-        was superseded by a newer ``compile_model`` on the same model is a
-        no-op for the newer engine's wrappers.
-        """
-        if not self._attached:
-            return
-        modules = dict(self.model.named_modules())
-        for name in self.plans:
-            layer = modules[name]
-            wrapper = layer.__dict__.get("forward")
-            if getattr(wrapper, "_engine_owner", None) is self:
-                del layer.__dict__["forward"]
-        self._attached = False
+        """No-op counterpart of :meth:`attach`."""
 
     def refresh(self) -> None:
         """Re-sync plans with the model's current weights.
@@ -211,14 +141,7 @@ class CompiledModel:
         for name, plan in list(self.plans.items()):
             layer = modules[name]
             if plan.is_stale(layer):
-                was_attached = self._attached
-                wrapper = layer.__dict__.get("forward")
-                if was_attached and getattr(wrapper, "_engine_owner", None) is self:
-                    del layer.__dict__["forward"]
-                new_plan = compile_conv_plan(layer, name)
-                self.plans[name] = new_plan
-                if was_attached:
-                    layer.forward = _make_forward(new_plan, layer.forward, self)
+                self.plans[name] = compile_conv_plan(layer, name)
             else:
                 plan.refresh_weights(layer)
 
@@ -226,12 +149,10 @@ class CompiledModel:
     def _float_program(self, data: np.ndarray):
         """The float fused program, traced lazily on the first no-grad forward.
 
-        Returns None when fusion is disabled or the model proved untraceable
-        (logged once; the eager path keeps serving).  Concurrent first calls
-        serialize on the fuse lock so the model is traced exactly once.
+        Returns None when the model proved untraceable (logged once; its plain
+        forward serves instead).  Concurrent first calls serialize on the fuse
+        lock so the model is traced exactly once.
         """
-        if not self.fuse:
-            return None
         program = self._fused_program
         if program is not None or self._fuse_failed is not None:
             return program
@@ -250,7 +171,7 @@ class CompiledModel:
                 except TraceError as error:
                     self._fuse_failed = str(error)
                     logger.info(
-                        "fusion disabled for %s (eager path kept): %s",
+                        "fusion disabled for %s (dense forward kept): %s",
                         type(self.model).__name__, error)
             return self._fused_program
 
@@ -299,7 +220,7 @@ class CompiledModel:
 
     def _fused_for(self, data: np.ndarray):
         """The program no-grad forwards should run: int8 when active, else float."""
-        if self.fuse and self.int8:
+        if self.int8:
             program = self._int8_program
             if program is None and self._int8_failed is None:
                 program = self._lower_int8(data)
@@ -317,8 +238,6 @@ class CompiledModel:
         them into the artifact so reloads lower deterministically).
         """
         data = np.ascontiguousarray(data, dtype=np.float32)
-        if not self._attached:
-            self.attach()
         if self.model.training:
             self.model.eval()
         with no_grad():
@@ -326,7 +245,7 @@ class CompiledModel:
         if program is None:
             raise RuntimeError(
                 "cannot calibrate int8 scales: the model has no fused program "
-                f"({self._fuse_failed or 'fusion disabled'})")
+                f"({self._fuse_failed})")
         from repro.engine.quant import calibrate_activation_scales
 
         with no_grad():
@@ -340,7 +259,7 @@ class CompiledModel:
     @property
     def fused_active(self) -> bool:
         """True once a fused program has been traced and is in use."""
-        return self.fuse and self._fused_program is not None
+        return self._fused_program is not None
 
     @property
     def fuse_failure(self) -> Optional[str]:
@@ -350,7 +269,7 @@ class CompiledModel:
     @property
     def int8_active(self) -> bool:
         """True once the int8 lowering exists and no-grad forwards use it."""
-        return self.fuse and self.int8 and self._int8_program is not None
+        return self.int8 and self._int8_program is not None
 
     @property
     def int8_failure(self) -> Optional[str]:
@@ -359,12 +278,12 @@ class CompiledModel:
 
     @property
     def engine_mode(self) -> str:
-        """Which executor no-grad forwards currently run: int8/fused/eager."""
+        """Which executor no-grad forwards currently run: int8/fused/dense."""
         if self.int8_active:
             return "int8"
         if self.fused_active:
             return "fused"
-        return "eager"
+        return "dense"
 
     @property
     def quantization(self) -> Dict[str, object]:
@@ -386,9 +305,9 @@ class CompiledModel:
     def enable_profiling(self):
         """Attach a per-op :class:`repro.obs.EngineProfiler` (idempotent).
 
-        Covers every executor this engine can take: the fused fp32 program,
-        the int8 lowering, and the eager per-layer path.  Returns the profiler
-        so callers can read :meth:`repro.obs.EngineProfiler.report` directly.
+        Covers both executors this engine can take: the fused fp32 program and
+        its int8 lowering.  Returns the profiler so callers can read
+        :meth:`repro.obs.EngineProfiler.report` directly.
         """
         from repro.obs.profiler import EngineProfiler
 
@@ -415,8 +334,7 @@ class CompiledModel:
         Unlike :meth:`enable_profiling` (engine-wide, sticky) this scopes a
         :class:`repro.obs.EngineProfiler` to the calling thread via the fused
         executors' thread-local override, so concurrent batches on the same
-        engine each get their own attribution.  Eager-path (unfused) forwards
-        are not captured — the serving hot path is always fused.
+        engine each get their own attribution.
         """
         from repro.obs.profiler import EngineProfiler
 
@@ -471,9 +389,7 @@ class CompiledModel:
 
     # ------------------------------------------------------------------ inference
     def __call__(self, x) -> Tensor:
-        """No-grad, eval-mode forward pass through the compiled engine."""
-        if not self._attached:
-            self.attach()
+        """No-grad, eval-mode forward pass through the fused program."""
         if self.model.training:
             self.model.eval()
         if isinstance(x, np.ndarray):
@@ -489,11 +405,9 @@ class CompiledModel:
 
         This is the serving hot path (:mod:`repro.serving` resolves models to
         ``forward_raw``): raw arrays in, raw arrays out, no Tensor wrapping.
-        Falls back to the eager per-layer path when fusion is off/untraceable.
+        Runs the model's plain forward when the model is untraceable.
         """
         data = np.ascontiguousarray(data, dtype=np.float32)
-        if not self._attached:
-            self.attach()
         if self.model.training:
             self.model.eval()
         with no_grad():
@@ -510,7 +424,7 @@ class CompiledModel:
 
         The ``mode`` column always reports the mode string of what actually
         executes: once fused, a folded layer shows e.g.
-        ``sparse-im2col-gemm+bn+silu`` instead of the eager plan label.
+        ``sparse-im2col-gemm+bn+silu`` instead of the bare plan label.
         """
         active = (self._int8_program if self.int8_active
                   else self._fused_program if self.fused_active else None)
@@ -545,16 +459,15 @@ def _wrap_tensors(value):
 
 
 def compile_model(model: Module, masks: Optional[MaskSet] = None,
-                  apply_masks: bool = True, fuse: bool = True,
-                  int8: bool = False,
+                  apply_masks: bool = True, int8: bool = False,
                   quantization: Optional[Dict[str, object]] = None) -> CompiledModel:
     """Compile a (pruned) model for pattern-aware sparse inference.
 
     Parameters
     ----------
     model:
-        Any :class:`repro.nn.module.Module`; only its :class:`Conv2d` layers are
-        lowered, everything else executes through the model's own forward.
+        Any :class:`repro.nn.module.Module`; its :class:`Conv2d` layers are
+        lowered to plans, the rest is traced into the fused program.
     masks:
         The pruning masks to compile against.  When given (and ``apply_masks``),
         they are (re)applied first so the layer weights and registered masks are
@@ -564,15 +477,11 @@ def compile_model(model: Module, masks: Optional[MaskSet] = None,
     apply_masks:
         Set to ``False`` if the masks were already applied and re-zeroing is
         undesirable.
-    fuse:
-        Enable the traced/fused executor for no-grad inference (BN folding,
-        activation epilogues, workspace arena).  The trace happens lazily on
-        the first no-grad forward; untraceable models keep the eager path.
     int8:
         Additionally lower the fused program to the integer hot path
         (:mod:`repro.engine.quant`): int8 weight codes in the packed layout,
-        integer GEMMs, dequant+BN+activation fused into one epilogue.  Needs
-        ``fuse``; when lowering is impossible the float fused path serves.
+        integer GEMMs, dequant+BN+activation fused into one epilogue.  When
+        lowering is impossible the float fused path serves.
     quantization:
         Quantization metadata for the int8 lowering — ``bits`` and optionally
         pre-calibrated ``activation_scales`` (the pipeline passes the
@@ -596,7 +505,7 @@ def compile_model(model: Module, masks: Optional[MaskSet] = None,
         plans[name] = compile_conv_plan(module, name)
 
     model.eval()
-    compiled = CompiledModel(model, plans, fallback, mask_signature, fuse=fuse,
+    compiled = CompiledModel(model, plans, fallback, mask_signature,
                              int8=int8, quantization=quantization)
     logger.info(
         "compiled %d conv layers (%d dense fallbacks): %d/%d im2col columns kept",

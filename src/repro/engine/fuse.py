@@ -8,7 +8,7 @@ lowers it into a :class:`FusedProgram` of raw-numpy ops over arena buffers
   a compiled convolution is folded away entirely: its per-channel ``scale`` is
   multiplied into the plan's packed ``(O, K)`` weight matrix and its ``shift``
   absorbed into the bias (:meth:`repro.nn.layers.norm.BatchNorm2d.fold_params`).
-  The folded copies belong to the fused op; the eager plan is untouched.
+  The folded copies belong to the fused op; the plan itself is untouched.
 * **Activation epilogues** — ReLU / LeakyReLU / SiLU directly after a compiled
   convolution (or its folded BatchNorm) run in place on the GEMM output buffer
   instead of as separate passes with their own temporaries.
@@ -23,8 +23,9 @@ lowers it into a :class:`FusedProgram` of raw-numpy ops over arena buffers
 
 BatchNorm folding changes the floating-point evaluation order (scales are
 applied to weights before the GEMM instead of to activations after it), so
-fused outputs match the eager path to ~1e-6 — well inside the 1e-5 equivalence
-bound every benchmark and artifact check enforces — but not bit-for-bit.
+fused outputs match the dense model to ~1e-6 relative — well inside the 1e-5
+equivalence bound every benchmark and artifact check enforces — but not
+bit-for-bit.
 
 Thread safety: a :class:`FusedProgram` is immutable after construction; each
 executing thread checks out its own :class:`~repro.engine.arena.WorkspaceArena`
@@ -106,7 +107,7 @@ def _activation_kernel(tag: str, x: np.ndarray, out: np.ndarray,
         scratch += 1.0
         np.divide(x, scratch, out=out)      # x / (1 + exp(-x)) == x * sigmoid(x)
     elif tag == "sigmoid":
-        # Mirror the eager kernel's +-60 clamp exactly.
+        # Mirror the dense kernel's +-60 clamp exactly.
         np.clip(x, -60.0, 60.0, out=scratch)
         np.negative(scratch, out=scratch)
         np.exp(scratch, out=scratch)

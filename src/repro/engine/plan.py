@@ -167,9 +167,9 @@ class ConvPlan:
     signature: str
     # Kept input channels for the pointwise fast path; None means "all channels".
     pointwise_channels: Optional[np.ndarray] = None
-    # Gather layouts keyed by (C, H, W) for the eager path and by
-    # ("fused", C, H, W) for the fused executor's flat per-image indices
-    # (deliberately batch-independent: micro-batches of any size share one).
+    # Gather layouts keyed by (C, H, W): the fused executor's flat per-image
+    # indices (deliberately batch-independent: micro-batches of any size share
+    # one).
     _layouts: Dict[tuple, tuple] = field(default_factory=dict, repr=False)
     # Guards layout computation/insertion so concurrent no-grad forward passes
     # (the serving layer runs BatchRunner from several threads) build each
@@ -237,28 +237,6 @@ class ConvPlan:
         self.bias = None if layer.bias is None else layer.bias.data.astype(np.float32)
 
     # ------------------------------------------------------------------ layout
-    def layout_for(self, input_shape: Tuple[int, int, int]) -> tuple:
-        """Gather indices for one ``(C, H, W)`` input shape (cached per plan).
-
-        Thread-safe: concurrent callers on a shape miss serialize on the plan's
-        lock and the layout is computed exactly once.
-        """
-        cached = self._layouts.get(input_shape)
-        if cached is not None:
-            # Deliberately lock-free hit counting (see _GLOBAL_CACHE_STATS).
-            _GLOBAL_CACHE_STATS.hits += 1  # reprolint: disable=lock-discipline
-            return cached
-        with self._lock:
-            cached = self._layouts.get(input_shape)
-            if cached is not None:
-                _GLOBAL_CACHE_STATS.hits += 1  # reprolint: disable=lock-discipline
-                return cached
-            layout = self._build_layout(input_shape)
-            self._layouts[input_shape] = layout
-        with _STATS_LOCK:
-            _GLOBAL_CACHE_STATS.misses += 1
-        return layout
-
     def _build_layout(self, input_shape: Tuple[int, int, int]) -> tuple:
         _, h, w = input_shape
         out_h, out_w = self.output_hw(h, w)
@@ -287,16 +265,15 @@ class ConvPlan:
     def fused_layout_for(self, input_shape: Tuple[int, int, int]) -> tuple:
         """Flat gather indices for the fused executor, cached per (C, H, W).
 
-        Where :meth:`layout_for` yields per-axis ``(chan, row, col)`` fancy
-        indices, this returns one flat ``(K, L)`` int index array into each
-        image's *flattened padded* plane, so the fused executor can gather
-        straight into its arena column buffer with a single buffer-free
-        ``np.take(..., axis=1)``.  Deliberately batch-independent: serving
-        micro-batches of varying sizes share one cached index per geometry.
-        Shares the plan's layout cache (and the global hit/miss statistics)
-        under a distinct key family.
+        One flat ``(K, L)`` int index array into each image's *flattened
+        padded* plane, so the fused executor can gather straight into its
+        arena column buffer with a single buffer-free ``np.take(..., axis=1)``.
+        Deliberately batch-independent: serving micro-batches of varying sizes
+        share one cached index per geometry.  Thread-safe: concurrent callers
+        on a shape miss serialize on the plan's lock and the layout is
+        computed exactly once.
         """
-        key = ("fused",) + tuple(input_shape)
+        key = tuple(input_shape)
         cached = self._layouts.get(key)
         if cached is not None:
             # Deliberately lock-free hit counting (see _GLOBAL_CACHE_STATS).
@@ -314,8 +291,6 @@ class ConvPlan:
         return layout
 
     def _build_fused_layout(self, input_shape: Tuple[int, int, int]) -> tuple:
-        # Same index math as the eager layout; only the flattening differs, so
-        # the two gather paths can never desynchronize.
         chans, rows, cols, out_h, out_w = self._build_layout(input_shape)
         _, h, w = input_shape
         ph, pw = self.padding
@@ -394,45 +369,3 @@ def compile_conv_plan(layer: Conv2d, layer_name: str = "") -> ConvPlan:
         pointwise_channels=pointwise_channels,
     )
     return plan
-
-
-def execute_plan(plan: ConvPlan, data: np.ndarray) -> np.ndarray:
-    """Run one compiled convolution on raw NCHW input, returning raw output."""
-    n, c, h, w = data.shape
-    out_channels = plan.out_channels
-
-    if plan.kept_columns.size == 0:
-        # Fully pruned layer: output is the (broadcast) bias, or zeros.
-        kh, kw = plan.kernel_size
-        sh, sw = plan.stride
-        ph, pw = plan.padding
-        out_h = (h + 2 * ph - kh) // sh + 1
-        out_w = (w + 2 * pw - kw) // sw + 1
-        out = np.zeros((n, out_channels, out_h, out_w), dtype=np.float32)
-        if plan.bias is not None:
-            out += plan.bias.reshape(1, -1, 1, 1)
-        return out
-
-    if plan.mode == MODE_POINTWISE:
-        sh, sw = plan.stride
-        if (sh, sw) != (1, 1):
-            data = data[:, :, ::sh, ::sw]
-        out_h, out_w = data.shape[2], data.shape[3]
-        feat = data if plan.pointwise_channels is None else data[:, plan.pointwise_channels]
-        ck = feat.shape[1]
-        gemm_in = feat.transpose(1, 0, 2, 3).reshape(ck, n * out_h * out_w)
-    else:
-        ph, pw = plan.padding
-        chans, rows, cols, out_h, out_w = plan.layout_for((c, h, w))
-        if ph or pw:
-            data = np.pad(data, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
-        columns = data[:, chans, rows, cols]                   # (N, K, L)
-        k = plan.weight_matrix.shape[1]
-        gemm_in = columns.transpose(1, 0, 2).reshape(k, n * out_h * out_w)
-
-    out = plan.weight_matrix @ gemm_in                          # (O, N*L)
-    out = out.reshape(out_channels, n, out_h * out_w)
-    out = out.transpose(1, 0, 2).reshape(n, out_channels, out_h, out_w)
-    if plan.bias is not None:
-        out = out + plan.bias.reshape(1, -1, 1, 1)
-    return np.ascontiguousarray(out, dtype=np.float32)

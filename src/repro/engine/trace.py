@@ -1,14 +1,9 @@
 """Graph tracer: record one symbolic forward pass as a flat op-plan list.
 
-The eager compiled path (:mod:`repro.engine.compiler`) swaps each convolution's
-``forward`` for its :class:`~repro.engine.plan.ConvPlan`, but everything *between*
-convolutions — BatchNorm, activations, pooling, residual adds, concats — still
-runs through the autograd :class:`~repro.nn.tensor.Tensor` layer with a fresh
-allocation per op.  The tracer removes that ceiling: it runs the model forward
-**once** on a real input and records every operation into a flat
-:class:`GraphPlan` — a list of :class:`OpNode` over integer value slots — that
-the fusion pass (:mod:`repro.engine.fuse`) turns into an allocation-free fused
-executor.
+The tracer runs the model forward **once** on a real input and records every
+operation into a flat :class:`GraphPlan` — a list of :class:`OpNode` over
+integer value slots — that the fusion pass (:mod:`repro.engine.fuse`) turns
+into an allocation-free fused executor, the one compiled inference path.
 
 How the recording works
 -----------------------
@@ -17,13 +12,20 @@ How the recording works
   by the module's semantic kind (``conv`` / ``bn`` / ``act`` / ...).  Modules
   the executor has no raw kernel for become generic ``module`` nodes and are
   replayed through their own forward (correct, just not allocation-free).
+* A called *composite* module with no :class:`Conv2d` anywhere in its subtree
+  (a transformer layer, an MLP head) is recorded the same way, as one
+  ``module`` replay node: its inside holds nothing the executor could
+  accelerate, and replaying it whole lets arbitrary glue (matmuls, softmax,
+  reshapes) run unrecorded.  :class:`ModuleList` containers are never
+  recorded — they are not called; their children are, one by one.
 * The small set of *glue* primitives models use between modules — tensor
   ``+ - * /``, slicing, :func:`repro.nn.functional.concat` — is patched for
   the duration of the trace so inline ops in non-module ``forward`` bodies
   (residual shortcuts, CSP concats, Focus slicing) are recorded too.
 * Anything else fails the trace with :class:`TraceError`; the caller
-  (:class:`~repro.engine.compiler.CompiledModel`) logs it once and keeps the
-  eager per-layer path, so an untraceable model is never wrong, only slower.
+  (:class:`~repro.engine.compiler.CompiledModel`) logs it once and runs the
+  model's plain no-grad forward, so an untraceable model is never wrong, only
+  slower.
 
 Tracing assumes a *static* graph: the recorded op list must be valid for any
 input batch shape.  Models whose control flow depends on values cannot be
@@ -49,7 +51,7 @@ from repro.nn.layers.merge import Add, Concat
 from repro.nn.layers.norm import BatchNorm2d
 from repro.nn.layers.pooling import MaxPool2d
 from repro.nn.layers.upsample import Upsample
-from repro.nn.module import Identity, Module
+from repro.nn.module import Identity, Module, ModuleList
 from repro.nn.tensor import Tensor, no_grad
 
 
@@ -459,8 +461,25 @@ class _GluePatches:
                 setattr(Tensor, method_name, original)
 
 
+def _recorded_modules(module: Module, prefix: str = ""):
+    """``(name, module)`` of every module the trace records as one node.
+
+    Leaves always; a composite only when no :class:`Conv2d` sits in its
+    subtree.  Composites that hold a conv, and every :class:`ModuleList`, are
+    descended into instead.
+    """
+    for name, child in module.named_children():
+        path = f"{prefix}.{name}" if prefix else name
+        if next(child.children(), None) is not None and (
+                isinstance(child, ModuleList)
+                or any(isinstance(sub, Conv2d) for sub in child.modules())):
+            yield from _recorded_modules(child, path)
+        else:
+            yield path, child
+
+
 class _LeafWrappers:
-    """Wrap every leaf module's forward to mark leaf scope and record ops."""
+    """Wrap every recorded module's forward to mark leaf scope and record ops."""
 
     def __init__(self, tracer: _Tracer, model: Module) -> None:
         self.tracer = tracer
@@ -469,9 +488,7 @@ class _LeafWrappers:
 
     def __enter__(self) -> "_LeafWrappers":
         tracer = self.tracer
-        for name, module in self.model.named_modules():
-            if not name or next(module.children(), None) is not None:
-                continue
+        for name, module in _recorded_modules(self.model):
             had_instance = "forward" in module.__dict__
             previous = module.__dict__.get("forward", None)
             inner = previous if previous is not None else module.forward
@@ -505,10 +522,9 @@ class _LeafWrappers:
 def trace_graph(model: Module, example: np.ndarray) -> GraphPlan:
     """Run ``model`` once on ``example`` and return the recorded op-plan list.
 
-    The model is run in eval mode under ``no_grad``; the current forwards are
-    used as-is, so a model with an attached engine traces through its compiled
-    per-layer plans.  Raises :class:`TraceError` when any operation cannot be
-    recorded — callers fall back to the eager path.
+    The model is run in eval mode under ``no_grad`` through its own (dense)
+    forwards.  Raises :class:`TraceError` when any operation cannot be
+    recorded — callers fall back to the plain forward.
     """
     example = np.ascontiguousarray(example, dtype=np.float32)
     with _TRACE_LOCK:

@@ -41,6 +41,29 @@ class DetrConfig:
     seed: int = 17
 
 
+class TokenFlatten(Module):
+    """Flatten a ``(B, D, H, W)`` feature map into ``(B, H*W, D)`` tokens."""
+
+    def forward(self, x: Tensor) -> Tensor:
+        batch, dim, height, width = x.shape
+        return x.reshape(batch, dim, height * width).transpose(0, 2, 1)
+
+
+class QueryEmbedding(Module):
+    """The learned object queries, broadcast over the batch of ``memory``."""
+
+    def __init__(self, num_queries: int, hidden_dim: int, rng: np.random.Generator) -> None:
+        super().__init__()
+        self.weight = Parameter(
+            (rng.standard_normal((num_queries, hidden_dim)) * 0.02).astype(np.float32),
+            name="query_embed",
+        )
+
+    def forward(self, memory: Tensor) -> Tensor:
+        return Tensor(np.broadcast_to(
+            self.weight.data[None, :, :], (memory.shape[0], *self.weight.shape)).copy())
+
+
 class Detr(Module):
     """DETR detector returning per-query class logits and normalised boxes."""
 
@@ -56,6 +79,7 @@ class Detr(Module):
             self.backbone = resnet18_backbone(rng=rng)
         backbone_channels = self.backbone.stage_channels["c5"]
         self.input_proj = Conv2d(backbone_channels, cfg.hidden_dim, 1, 1, 0, rng=rng)
+        self.flatten = TokenFlatten()
 
         self.encoder = ModuleList([
             TransformerEncoderLayer(cfg.hidden_dim, cfg.num_heads, cfg.ffn_dim, rng=rng)
@@ -68,10 +92,7 @@ class Detr(Module):
         self.encoder_norm = LayerNorm(cfg.hidden_dim)
         self.decoder_norm = LayerNorm(cfg.hidden_dim)
 
-        self.query_embed = Parameter(
-            (rng.standard_normal((cfg.num_queries, cfg.hidden_dim)) * 0.02).astype(np.float32),
-            name="query_embed",
-        )
+        self.query_embed = QueryEmbedding(cfg.num_queries, cfg.hidden_dim, rng)
         # Class head predicts num_classes + 1 ("no object") logits per query.
         self.class_head = Linear(cfg.hidden_dim, cfg.num_classes + 1, rng=rng)
         self.box_head = Sequential(
@@ -82,19 +103,12 @@ class Detr(Module):
 
     def forward(self, x: Tensor) -> Dict[str, Tensor]:
         features = self.backbone(x)["c5"]
-        projected = self.input_proj(features)          # (B, D, H, W)
-        batch, dim, height, width = projected.shape
-        tokens = projected.reshape(batch, dim, height * width).transpose(0, 2, 1)
-
-        memory = tokens
+        memory = self.flatten(self.input_proj(features))   # (B, H*W, D)
         for layer in self.encoder:
             memory = layer(memory)
         memory = self.encoder_norm(memory)
 
-        queries = Tensor(np.broadcast_to(
-            self.query_embed.data[None, :, :],
-            (batch, self.config.num_queries, self.config.hidden_dim),
-        ).copy())
+        queries = self.query_embed(memory)
         for layer in self.decoder:
             queries = layer(queries, memory)
         queries = self.decoder_norm(queries)

@@ -14,7 +14,7 @@ Three planes, one package (see docs/observability.md):
   Completed traces land in a ring buffer exportable as Chrome
   ``chrome://tracing`` trace-event JSON.
 * **Profiling** (:mod:`repro.obs.profiler`) — opt-in per-op timing for the
-  fused/int8 executors and the eager plan path, surfaced through
+  fused/int8 executors, surfaced through
   ``CompiledModel.profile()`` and ``repro engine --profile``.
 
 ``repro top`` (:mod:`repro.obs.top`) renders the live ops view on top of the

@@ -96,12 +96,9 @@ class DeployableArtifact:
             row["quantized_bits"] = self.quantization_meta.get("bits")
         if self.compiled is not None:
             row["compiled_layers"] = self.compiled.num_compiled_layers
-            row["fused"] = bool(self.compiled.fuse)
             row["int8"] = bool(self.compiled.int8)
         if self.measurement:
             row["measured_speedup"] = self.measurement.get("measured_speedup")
-            if self.measurement.get("fused_speedup"):
-                row["fused_speedup"] = self.measurement.get("fused_speedup")
         return row
 
     # ------------------------------------------------------------------ persistence
@@ -131,13 +128,11 @@ class DeployableArtifact:
             "mask_signature": self.masks.signature() if len(self.masks) else None,
             "quantization": _jsonable(self.quantization_meta),
             "compiled": self.compiled is not None,
-            # Whether the engine was compiled with the fused executor; load()
-            # re-fuses accordingly, so serving processes (InferenceService /
-            # cluster WorkerProcess) inherit the fusion decision for free.
-            "fused": bool(self.compiled is not None and self.compiled.fuse),
-            # Same contract for the integer hot path: the calibrated activation
-            # scales travel inside "quantization", so load() re-lowers into the
-            # exact int8 program this run executed.
+            # Whether the engine runs the integer hot path; load() re-lowers
+            # accordingly, so serving processes (InferenceService / cluster
+            # WorkerProcess) inherit it for free.  The calibrated activation
+            # scales travel inside "quantization", so load() re-lowers into
+            # the exact int8 program this run executed.
             "int8": bool(self.compiled is not None and self.compiled.int8),
             "measurement": _jsonable(self.measurement),
             "metrics": _jsonable(self.metrics),
@@ -212,12 +207,9 @@ class DeployableArtifact:
 
         compiled = None
         if meta.get("compiled"):
-            # Artifacts written before the fusion flag existed carry no
-            # "fused" entry; fall back to the spec's engine.fuse default.
-            fuse = bool(meta.get("fused", spec.engine.fuse))
             int8 = bool(meta.get("int8", False))
             compiled = compile_model(model, masks if len(masks) else None,
-                                     apply_masks=False, fuse=fuse, int8=int8,
+                                     apply_masks=False, int8=int8,
                                      quantization=meta.get("quantization"))
 
         return cls(

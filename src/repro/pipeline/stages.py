@@ -174,17 +174,17 @@ class CompileStage:
         spec = context.spec
         engine = spec.engine
         context.compiled = compile_model(
-            context.model, context.masks, apply_masks=False, fuse=engine.fuse,
+            context.model, context.masks, apply_masks=False,
             int8=engine.int8, quantization=context.quantization_meta)
         if engine.int8:
             self._calibrate_int8(context)
         if engine.measure:
-            # Reuses the plans compiled above; leaves the engine attached.
+            # Reuses the plans compiled above.
             context.measurement = measure_speedup(
                 context.model, masks=context.masks, repeats=engine.repeats,
                 batch=engine.batch, image_size=engine.image_size,
                 model_name=spec.model.name, seed=spec.seed,
-                compiled=context.compiled, fuse=engine.fuse,
+                compiled=context.compiled,
                 int8=engine.int8, quantization=context.compiled.quantization)
 
     @staticmethod

@@ -82,7 +82,7 @@ class PooledModel:
         """Run one throwaway forward pass so serving threads never pay it.
 
         Warming settles everything the compiled engine mutates lazily — layer
-        ``eval()`` flags, engine attachment and the per-shape layout caches —
+        ``eval()`` flags, the traced fused program and the per-shape layout caches —
         which is what makes subsequent *concurrent* inference safe (see the
         thread-safety contract on :class:`repro.engine.compiler.CompiledModel`).
         """
@@ -96,7 +96,7 @@ class PooledModel:
 
     @property
     def engine_mode(self) -> str:
-        """Executor this entry serves through: ``int8``/``fused``/``eager``/``dense``."""
+        """Executor this entry serves through: ``int8``/``fused``/``dense``."""
         compiled = self.compiled_model
         return compiled.engine_mode if compiled is not None else "dense"
 

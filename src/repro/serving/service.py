@@ -234,7 +234,7 @@ class InferenceService:
         """Serving metrics + pool statistics + the effective batch policy."""
         report = dict(self.metrics.report())
         report["pool"] = self.pool.stats()
-        # Executor mode per served model (int8/fused/eager/dense).  Cluster
+        # Executor mode per served model (int8/fused/dense).  Cluster
         # workers relay this report, so `repro serve --workers N` shows which
         # path each process actually serves through.
         modes = self.pool.engine_modes()

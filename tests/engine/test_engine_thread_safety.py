@@ -73,44 +73,36 @@ class TestConcurrentCompiledInference:
         """8 threads hammering one warmed CompiledModel reproduce the
         sequential outputs exactly."""
         compiled = compile_model(*_pruned_model_and_masks())
-        try:
-            inputs = [rng.standard_normal((2, 3, 64, 64)).astype(np.float32)
-                      for _ in range(8)]
-            expected = [compiled.forward_raw(x) for x in inputs]   # also warms
+        inputs = [rng.standard_normal((2, 3, 64, 64)).astype(np.float32)
+                  for _ in range(8)]
+        expected = [compiled.forward_raw(x) for x in inputs]   # also warms
 
-            results = [None] * len(inputs)
-            errors = []
-            barrier = threading.Barrier(len(inputs))
+        results = [None] * len(inputs)
+        errors = []
+        barrier = threading.Barrier(len(inputs))
 
-            def worker(index):
-                try:
-                    barrier.wait()
-                    for _ in range(3):
-                        results[index] = BatchRunner(compiled, batch_size=1).run(inputs[index])
-                except BaseException as error:  # pragma: no cover
-                    errors.append(error)
+        def worker(index):
+            try:
+                barrier.wait()
+                for _ in range(3):
+                    results[index] = BatchRunner(compiled, batch_size=1).run(inputs[index])
+            except BaseException as error:  # pragma: no cover
+                errors.append(error)
 
-            threads = [threading.Thread(target=worker, args=(i,))
-                       for i in range(len(inputs))]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(60.0)
-            assert not errors
-            for got, want in zip(results, expected):
-                np.testing.assert_allclose(got, want, atol=0, rtol=0)
-        finally:
-            compiled.detach()
+        threads = [threading.Thread(target=worker, args=(i,))
+                   for i in range(len(inputs))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(60.0)
+        assert not errors
+        for got, want in zip(results, expected):
+            np.testing.assert_allclose(got, want, atol=0, rtol=0)
 
     def test_concurrent_layout_cache_fill_is_single_shot(self, rng):
         """Racing threads on a cold layout cache build each layout exactly once
         (per plan, per shape) — the per-plan lock closes the double-build race."""
         compiled = _pruned_compiled()
-        # This test pins the *eager* per-plan layout semantics; the fused
-        # executor shares the cache under distinct keys (and would add its own
-        # one-shot misses), so it is exercised separately in
-        # tests/engine/test_fused_executor.py.
-        compiled.fuse = False
         try:
             x = rng.standard_normal((1, 3, 64, 64)).astype(np.float32)
             reset_layout_cache_stats()
@@ -131,47 +123,46 @@ class TestConcurrentCompiledInference:
                 t.join(60.0)
             assert not errors
             stats = layout_cache_stats()
-            # Only im2col-mode plans build layouts; each must have exactly one miss.
+            # Only sparse im2col-mode plans build layouts (a plan that kept
+            # every column gathers through a window view); each must have
+            # exactly one miss.
             im2col_plans = sum(1 for plan in compiled.plans.values()
-                               if plan.mode == "sparse-im2col-gemm")
+                               if plan.mode == "sparse-im2col-gemm"
+                               and plan.dropped_columns)
             assert stats.misses == im2col_plans, (
                 f"expected one layout build per im2col plan ({im2col_plans}), "
                 f"got {stats.misses} misses")
             assert stats.hits > 0
         finally:
-            compiled.detach()
             reset_layout_cache_stats()
 
     def test_concurrent_mixed_shapes(self, rng):
         """Different input resolutions from different threads fill disjoint
         cache keys concurrently and stay correct."""
         compiled = _pruned_compiled(image_size=64)
-        try:
-            shapes = [(1, 3, 64, 64), (1, 3, 96, 96), (2, 3, 64, 64), (1, 3, 80, 80)]
-            inputs = [rng.standard_normal(s).astype(np.float32) for s in shapes]
-            expected = [compiled.forward_raw(x) for x in inputs]
-            results = [None] * len(inputs)
-            errors = []
-            barrier = threading.Barrier(len(inputs))
+        shapes = [(1, 3, 64, 64), (1, 3, 96, 96), (2, 3, 64, 64), (1, 3, 80, 80)]
+        inputs = [rng.standard_normal(s).astype(np.float32) for s in shapes]
+        expected = [compiled.forward_raw(x) for x in inputs]
+        results = [None] * len(inputs)
+        errors = []
+        barrier = threading.Barrier(len(inputs))
 
-            def worker(index):
-                try:
-                    barrier.wait()
-                    results[index] = compiled.forward_raw(inputs[index])
-                except BaseException as error:  # pragma: no cover
-                    errors.append(error)
+        def worker(index):
+            try:
+                barrier.wait()
+                results[index] = compiled.forward_raw(inputs[index])
+            except BaseException as error:  # pragma: no cover
+                errors.append(error)
 
-            threads = [threading.Thread(target=worker, args=(i,))
-                       for i in range(len(inputs))]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(60.0)
-            assert not errors
-            for got, want in zip(results, expected):
-                np.testing.assert_allclose(got, want, atol=0, rtol=0)
-        finally:
-            compiled.detach()
+        threads = [threading.Thread(target=worker, args=(i,))
+                   for i in range(len(inputs))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(60.0)
+        assert not errors
+        for got, want in zip(results, expected):
+            np.testing.assert_allclose(got, want, atol=0, rtol=0)
 
 
 def _pruned_model_and_masks():

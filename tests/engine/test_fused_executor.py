@@ -2,7 +2,7 @@
 
 The fused executor may reorder float math (BN folding) and reuse buffers
 (workspace arena), so these tests pin the two contracts everything above it
-relies on: outputs equivalent to the eager/dense paths within 1e-5, and no
+relies on: outputs equivalent to the dense model within 1e-5, and no
 result ever aliasing arena scratch space — even under concurrent serving.
 """
 
@@ -19,6 +19,7 @@ from repro.models.tiny import TinyDetector, TinyDetectorConfig
 from repro.nn import functional as F
 from repro.nn.layers.activation import build_activation
 from repro.nn.layers.conv import Conv2d, DepthwiseConv2d
+from repro.nn.layers.linear import Linear
 from repro.nn.layers.norm import BatchNorm2d
 from repro.nn.module import Module, Sequential
 from repro.nn.tensor import Tensor
@@ -37,8 +38,10 @@ def _pruned_tiny(entries: int = 2, image_size: int = 64, base_channels: int = 8)
 
 
 # ------------------------------------------------------------------ equivalence
-def test_fused_matches_eager_and_dense_on_pruned_tiny(rng):
-    """Fused output == taped dense == no-grad dense == eager compiled, <= 1e-5."""
+def test_fused_matches_unfolded_and_dense_on_pruned_tiny(rng):
+    """Fused output == taped dense == no-grad dense == unfolded program, <= 1e-5."""
+    from repro.engine import fuse_graph, trace_graph
+
     model, report = _pruned_tiny()
     x = rng.standard_normal((3, 3, 64, 64)).astype(np.float32)
 
@@ -47,30 +50,25 @@ def test_fused_matches_eager_and_dense_on_pruned_tiny(rng):
     dense_nograd = BatchRunner(model, batch_size=3).run(x)
 
     compiled = compile_model(model, report.masks, apply_masks=False)
-    try:
-        fused = compiled.forward_raw(x)
-        assert compiled.fused_active, compiled.fuse_failure
-        np.testing.assert_allclose(fused, dense_grad, atol=TOL, rtol=0)
-        np.testing.assert_allclose(fused, dense_nograd, atol=TOL, rtol=0)
+    fused = compiled.forward_raw(x)
+    assert compiled.fused_active, compiled.fuse_failure
+    np.testing.assert_allclose(fused, dense_grad, atol=TOL, rtol=0)
+    np.testing.assert_allclose(fused, dense_nograd, atol=TOL, rtol=0)
 
-        compiled.fuse = False
-        eager = compiled.forward_raw(x)
-        np.testing.assert_allclose(fused, eager, atol=TOL, rtol=0)
-    finally:
-        compiled.detach()
+    # The same plans without BN folding or activation epilogues.
+    unfolded = fuse_graph(trace_graph(model, x), compiled.plans,
+                          fold_bn=False, fuse_activations=False).run(x)
+    np.testing.assert_allclose(fused, unfolded, atol=TOL, rtol=0)
 
 
 def test_fused_is_deterministic_across_calls(rng):
     model, report = _pruned_tiny()
     compiled = compile_model(model, report.masks, apply_masks=False)
-    try:
-        x = rng.standard_normal((2, 3, 64, 64)).astype(np.float32)
-        first = compiled.forward_raw(x)
-        second = compiled.forward_raw(x)
-        np.testing.assert_allclose(first, second, atol=0, rtol=0)
-        assert first is not second  # results are fresh arrays, never the arena
-    finally:
-        compiled.detach()
+    x = rng.standard_normal((2, 3, 64, 64)).astype(np.float32)
+    first = compiled.forward_raw(x)
+    second = compiled.forward_raw(x)
+    np.testing.assert_allclose(first, second, atol=0, rtol=0)
+    assert first is not second  # results are fresh arrays, never the arena
 
 
 @pytest.mark.parametrize("with_bn", [True, False])
@@ -97,12 +95,9 @@ def test_conv_bn_activation_combos(with_bn, act, rng):
     dense = model(Tensor(x)).data.copy()
 
     compiled = compile_model(model)
-    try:
-        fused = compiled.forward_raw(x)
-        assert compiled.fused_active, compiled.fuse_failure
-        np.testing.assert_allclose(fused, dense, atol=TOL, rtol=0)
-    finally:
-        compiled.detach()
+    fused = compiled.forward_raw(x)
+    assert compiled.fused_active, compiled.fuse_failure
+    np.testing.assert_allclose(fused, dense, atol=TOL, rtol=0)
 
 
 @pytest.mark.parametrize("slope", [0.0, 0.1, 1.0, 1.5, -0.5])
@@ -116,17 +111,14 @@ def test_leaky_relu_slope_variants(slope, rng):
     x = rng.standard_normal((2, 3, 9, 9)).astype(np.float32)
     dense = model(Tensor(x)).data.copy()
     compiled = compile_model(model)
-    try:
-        fused = compiled.forward_raw(x)
-        assert compiled.fused_active, compiled.fuse_failure
-        np.testing.assert_allclose(fused, dense, atol=TOL, rtol=0)
-        modes = {row["mode"] for row in compiled.summary()}
-        if slope >= 0:
-            assert any(mode.endswith("+leaky_relu") for mode in modes), modes
-        else:
-            assert not any("+leaky_relu" in mode for mode in modes), modes
-    finally:
-        compiled.detach()
+    fused = compiled.forward_raw(x)
+    assert compiled.fused_active, compiled.fuse_failure
+    np.testing.assert_allclose(fused, dense, atol=TOL, rtol=0)
+    modes = {row["mode"] for row in compiled.summary()}
+    if slope >= 0:
+        assert any(mode.endswith("+leaky_relu") for mode in modes), modes
+    else:
+        assert not any("+leaky_relu" in mode for mode in modes), modes
 
 
 @pytest.mark.parametrize("act", ["silu", "relu", None])
@@ -145,13 +137,10 @@ def test_depthwise_conv_bn_act_falls_back_per_layer(act, rng):
     dense = model(Tensor(x)).data.copy()
 
     compiled = compile_model(model)
-    try:
-        assert compiled.fallback_layers  # the depthwise conv has no plan
-        fused = compiled.forward_raw(x)
-        assert compiled.fused_active, compiled.fuse_failure
-        np.testing.assert_allclose(fused, dense, atol=TOL, rtol=0)
-    finally:
-        compiled.detach()
+    assert compiled.fallback_layers  # the depthwise conv has no plan
+    fused = compiled.forward_raw(x)
+    assert compiled.fused_active, compiled.fuse_failure
+    np.testing.assert_allclose(fused, dense, atol=TOL, rtol=0)
 
 
 def test_glue_ops_slicing_concat_pool_upsample(rng):
@@ -180,12 +169,9 @@ def test_glue_ops_slicing_concat_pool_upsample(rng):
     dense = model(Tensor(x)).data.copy()
 
     compiled = compile_model(model)
-    try:
-        fused = compiled.forward_raw(x)
-        assert compiled.fused_active, compiled.fuse_failure
-        np.testing.assert_allclose(fused, dense, atol=TOL, rtol=0)
-    finally:
-        compiled.detach()
+    fused = compiled.forward_raw(x)
+    assert compiled.fused_active, compiled.fuse_failure
+    np.testing.assert_allclose(fused, dense, atol=TOL, rtol=0)
 
 
 def test_batchnorm_fold_params_matches_eval_forward(rng):
@@ -205,14 +191,11 @@ def test_batchnorm_fold_params_matches_eval_forward(rng):
 def test_fused_modes_report_bn_and_activation_folding():
     model, report = _pruned_tiny()
     compiled = compile_model(model, report.masks, apply_masks=False)
-    try:
-        compiled.forward_raw(np.zeros((1, 3, 64, 64), dtype=np.float32))
-        modes = {row["mode"] for row in compiled.summary()}
-        assert any(mode.endswith("+bn+silu") for mode in modes), modes
-        # The detector head has neither BN nor activation -> stays plain.
-        assert any("+" not in mode for mode in modes), modes
-    finally:
-        compiled.detach()
+    compiled.forward_raw(np.zeros((1, 3, 64, 64), dtype=np.float32))
+    modes = {row["mode"] for row in compiled.summary()}
+    assert any(mode.endswith("+bn+silu") for mode in modes), modes
+    # The detector head has neither BN nor activation -> stays plain.
+    assert any("+" not in mode for mode in modes), modes
 
 
 def test_bn_not_folded_when_conv_output_fans_out(rng):
@@ -234,18 +217,16 @@ def test_bn_not_folded_when_conv_output_fans_out(rng):
     x = rng.standard_normal((1, 3, 8, 8)).astype(np.float32)
     dense = model(Tensor(x)).data.copy()
     compiled = compile_model(model)
-    try:
-        fused = compiled.forward_raw(x)
-        assert compiled.fused_active
-        np.testing.assert_allclose(fused, dense, atol=TOL, rtol=0)
-        modes = {row["mode"] for row in compiled.summary()}
-        assert not any("+bn" in mode for mode in modes), modes
-    finally:
-        compiled.detach()
+    fused = compiled.forward_raw(x)
+    assert compiled.fused_active
+    np.testing.assert_allclose(fused, dense, atol=TOL, rtol=0)
+    modes = {row["mode"] for row in compiled.summary()}
+    assert not any("+bn" in mode for mode in modes), modes
 
 
-def test_untraceable_model_keeps_eager_path(rng):
-    """Unrecordable glue (here: .sum()) disables fusion but never correctness."""
+def test_untraceable_model_runs_dense_forward(rng):
+    """Unrecordable glue (here: .sum()) disables fusion but never correctness:
+    the engine serves the model's plain no-grad forward."""
 
     class Weird(Module):
         def __init__(self):
@@ -261,66 +242,136 @@ def test_untraceable_model_keeps_eager_path(rng):
     x = rng.standard_normal((1, 3, 8, 8)).astype(np.float32)
     dense = model(Tensor(x)).data.copy()
     compiled = compile_model(model)
-    try:
-        out = compiled.forward_raw(x)
-        assert not compiled.fused_active
-        assert compiled.fuse_failure is not None
-        np.testing.assert_allclose(out, dense, atol=TOL, rtol=0)
-        # The failure is remembered: no re-trace storm on every call.
-        compiled.forward_raw(x)
-        assert compiled.fuse_failure is not None
-    finally:
-        compiled.detach()
+    out = compiled.forward_raw(x)
+    assert compiled.engine_mode == "dense"
+    assert compiled.fuse_failure is not None
+    np.testing.assert_array_equal(out, dense)
+    # The failure is remembered: no re-trace storm on every call.
+    compiled.forward_raw(x)
+    assert compiled.fuse_failure is not None
+
+
+class _SelfAttention(Module):
+    """Conv-free composite whose glue (``@``, softmax) the tracer cannot record."""
+
+    def __init__(self, dim: int):
+        super().__init__()
+        self.proj = Linear(dim, dim, rng=np.random.default_rng(1))
+
+    def forward(self, x):
+        n, c, h, w = x.shape
+        tokens = x.reshape(n, c, h * w).transpose(0, 2, 1)          # (N, L, C)
+        scores = F.softmax(tokens @ tokens.transpose(0, 2, 1), axis=-1)
+        return self.proj(scores @ tokens).transpose(0, 2, 1).reshape(n, c, h, w)
+
+
+def test_conv_free_composite_becomes_one_module_op(rng):
+    """A called composite with no conv inside is recorded as one replay node;
+    the convs around it still fuse."""
+    from repro.engine import trace_graph
+    from repro.engine.fuse import ModuleOp
+
+    model = Sequential(Conv2d(3, 4, kernel_size=3, rng=np.random.default_rng(0)),
+                       _SelfAttention(4))
+    model.eval()
+    x = rng.standard_normal((3, 3, 8, 8)).astype(np.float32)
+    dense = model(Tensor(x)).data.copy()
+
+    graph = trace_graph(model, x)
+    assert [(node.kind, node.name) for node in graph.ops] == [
+        ("conv", "0"), ("module", "1")]
+    compiled = compile_model(model)
+    fused = compiled.forward_raw(x)
+    assert compiled.engine_mode == "fused", compiled.fuse_failure
+    assert sum(isinstance(op, ModuleOp) for op in compiled._fused_program.steps) == 1
+    np.testing.assert_allclose(fused, dense, atol=TOL, rtol=0)
+
+
+def test_composite_holding_a_conv_is_traced_op_by_op(rng):
+    from repro.engine import trace_graph
+    from repro.nn.layers.activation import ReLU
+
+    block = Sequential(Conv2d(3, 4, kernel_size=3, rng=np.random.default_rng(0)),
+                       BatchNorm2d(4), ReLU())
+    model = Sequential(block)
+    x = rng.standard_normal((2, 3, 8, 8)).astype(np.float32)
+    graph = trace_graph(model, x)
+    assert [(node.kind, node.name) for node in graph.ops] == [
+        ("conv", "0.0"), ("bn", "0.1"), ("act", "0.2")]
+
+
+def test_module_list_is_never_a_replay_node(rng):
+    """A ModuleList is not called — its children are, one by one — so each
+    child is recorded, never the container."""
+    from repro.engine import trace_graph
+    from repro.nn.module import ModuleList
+
+    class Stacked(Module):
+        def __init__(self):
+            super().__init__()
+            self.conv = Conv2d(3, 4, kernel_size=3, rng=np.random.default_rng(0))
+            self.blocks = ModuleList([_SelfAttention(4), _SelfAttention(4)])
+
+        def forward(self, x):
+            y = self.conv(x)
+            for block in self.blocks:
+                y = block(y)
+            return y
+
+    model = Stacked()
+    model.eval()
+    x = rng.standard_normal((2, 3, 8, 8)).astype(np.float32)
+    dense = model(Tensor(x)).data.copy()
+    graph = trace_graph(model, x)
+    assert [node.name for node in graph.ops if node.kind == "module"] == [
+        "blocks.0", "blocks.1"]
+    compiled = compile_model(model)
+    np.testing.assert_allclose(compiled.forward_raw(x), dense, atol=TOL, rtol=0)
+    assert compiled.engine_mode == "fused", compiled.fuse_failure
 
 
 # ----------------------------------------------------------------------- arena
 def test_arena_zero_allocations_after_warmup(rng):
     model, report = _pruned_tiny()
     compiled = compile_model(model, report.masks, apply_masks=False)
-    try:
-        x = rng.standard_normal((2, 3, 64, 64)).astype(np.float32)
-        compiled.forward_raw(x)                   # warmup: traces + allocates
-        warm = compiled.arena_stats()
-        assert warm["misses"] > 0 and warm["buffers"] == warm["misses"]
-        for _ in range(3):
-            compiled.forward_raw(x)
-        steady = compiled.arena_stats()
-        assert steady["misses"] == warm["misses"], "steady state must not allocate"
-        assert steady["hits"] > warm["hits"]
-        assert steady["bytes_allocated"] == warm["bytes_allocated"]
-    finally:
-        compiled.detach()
+    x = rng.standard_normal((2, 3, 64, 64)).astype(np.float32)
+    compiled.forward_raw(x)                   # warmup: traces + allocates
+    warm = compiled.arena_stats()
+    assert warm["misses"] > 0 and warm["buffers"] == warm["misses"]
+    for _ in range(3):
+        compiled.forward_raw(x)
+    steady = compiled.arena_stats()
+    assert steady["misses"] == warm["misses"], "steady state must not allocate"
+    assert steady["hits"] > warm["hits"]
+    assert steady["bytes_allocated"] == warm["bytes_allocated"]
 
 
 def test_fused_layout_cache_single_shot_under_racing_threads(rng):
     """The fused flat-gather layouts build exactly once per (plan, shape)."""
     model, report = _pruned_tiny()
     compiled = compile_model(model, report.masks, apply_masks=False)
-    try:
-        x = rng.standard_normal((1, 3, 64, 64)).astype(np.float32)
-        compiled.forward_raw(x)                   # trace + warm on this thread
-        before = layout_cache_stats().misses
-        barrier = threading.Barrier(6)
-        errors = []
+    x = rng.standard_normal((1, 3, 64, 64)).astype(np.float32)
+    compiled.forward_raw(x)                   # trace + warm on this thread
+    before = layout_cache_stats().misses
+    barrier = threading.Barrier(6)
+    errors = []
 
-        def worker():
-            try:
-                barrier.wait()
-                for _ in range(3):
-                    compiled.forward_raw(x)
-            except BaseException as error:  # pragma: no cover
-                errors.append(error)
+    def worker():
+        try:
+            barrier.wait()
+            for _ in range(3):
+                compiled.forward_raw(x)
+        except BaseException as error:  # pragma: no cover
+            errors.append(error)
 
-        threads = [threading.Thread(target=worker) for _ in range(6)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(60.0)
-        assert not errors
-        assert layout_cache_stats().misses == before, (
-            "a warm shape must never rebuild gather layouts")
-    finally:
-        compiled.detach()
+    threads = [threading.Thread(target=worker) for _ in range(6)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(60.0)
+    assert not errors
+    assert layout_cache_stats().misses == before, (
+        "a warm shape must never rebuild gather layouts")
 
 
 def test_concurrent_submit_many_no_cross_request_aliasing(rng):
@@ -330,42 +381,39 @@ def test_concurrent_submit_many_no_cross_request_aliasing(rng):
 
     model, report = _pruned_tiny()
     compiled = compile_model(model, report.masks, apply_masks=False)
-    try:
-        inputs = [rng.standard_normal((6, 3, 64, 64)).astype(np.float32)
-                  for _ in range(4)]
-        expected = [BatchRunner(compiled, batch_size=1).run(imgs) for imgs in inputs]
+    inputs = [rng.standard_normal((6, 3, 64, 64)).astype(np.float32)
+              for _ in range(4)]
+    expected = [BatchRunner(compiled, batch_size=1).run(imgs) for imgs in inputs]
 
-        results = [None] * len(inputs)
-        errors = []
-        with InferenceService(compiled, policy=BatchPolicy(max_batch_size=4),
-                              warmup=True) as service:
-            barrier = threading.Barrier(len(inputs))
+    results = [None] * len(inputs)
+    errors = []
+    with InferenceService(compiled, policy=BatchPolicy(max_batch_size=4),
+                          warmup=True) as service:
+        barrier = threading.Barrier(len(inputs))
 
-            def client(index):
-                try:
-                    barrier.wait()
-                    results[index] = service.submit_many(inputs[index])
-                except BaseException as error:  # pragma: no cover
-                    errors.append(error)
+        def client(index):
+            try:
+                barrier.wait()
+                results[index] = service.submit_many(inputs[index])
+            except BaseException as error:  # pragma: no cover
+                errors.append(error)
 
-            threads = [threading.Thread(target=client, args=(i,))
-                       for i in range(len(inputs))]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(60.0)
-            assert not errors
-            for got, want in zip(results, expected):
-                np.testing.assert_allclose(got, want, atol=TOL, rtol=0)
-            snapshots = [np.array(r, copy=True) for r in results]
-            # Push more traffic through the same arenas, then re-check: if any
-            # result aliased arena scratch, it would have been overwritten.
-            service.submit_many(inputs[0])
-            service.submit_many(inputs[1])
-            for result, snapshot in zip(results, snapshots):
-                np.testing.assert_allclose(result, snapshot, atol=0, rtol=0)
-    finally:
-        compiled.detach()
+        threads = [threading.Thread(target=client, args=(i,))
+                   for i in range(len(inputs))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(60.0)
+        assert not errors
+        for got, want in zip(results, expected):
+            np.testing.assert_allclose(got, want, atol=TOL, rtol=0)
+        snapshots = [np.array(r, copy=True) for r in results]
+        # Push more traffic through the same arenas, then re-check: if any
+        # result aliased arena scratch, it would have been overwritten.
+        service.submit_many(inputs[0])
+        service.submit_many(inputs[1])
+        for result, snapshot in zip(results, snapshots):
+            np.testing.assert_allclose(result, snapshot, atol=0, rtol=0)
 
 
 def test_batch_axis_dropping_output_disables_bucketing(rng):
@@ -385,14 +433,11 @@ def test_batch_axis_dropping_output_disables_bucketing(rng):
         x = rng.standard_normal((n, 3, 8, 8)).astype(np.float32)
         dense = model(Tensor(x)).data.copy()
         compiled = compile_model(model)
-        try:
-            fused = compiled.forward_raw(x)
-            assert compiled.fused_active, compiled.fuse_failure
-            assert not compiled._fused_program.bucket_safe
-            assert fused.shape == dense.shape
-            np.testing.assert_allclose(fused, dense, atol=TOL, rtol=0)
-        finally:
-            compiled.detach()
+        fused = compiled.forward_raw(x)
+        assert compiled.fused_active, compiled.fuse_failure
+        assert not compiled._fused_program.bucket_safe
+        assert fused.shape == dense.shape
+        np.testing.assert_allclose(fused, dense, atol=TOL, rtol=0)
 
 
 def test_array_valued_batch_index_fuses_without_bucketing(rng):
@@ -412,50 +457,38 @@ def test_array_valued_batch_index_fuses_without_bucketing(rng):
     x = rng.standard_normal((3, 3, 8, 8)).astype(np.float32)
     dense = model(Tensor(x)).data.copy()
     compiled = compile_model(model)
-    try:
-        fused = compiled.forward_raw(x)
-        assert compiled.fused_active, compiled.fuse_failure
-        assert not compiled._fused_program.bucket_safe
-        np.testing.assert_allclose(fused, dense, atol=TOL, rtol=0)
-    finally:
-        compiled.detach()
+    fused = compiled.forward_raw(x)
+    assert compiled.fused_active, compiled.fuse_failure
+    assert not compiled._fused_program.bucket_safe
+    np.testing.assert_allclose(fused, dense, atol=TOL, rtol=0)
 
 
 def test_variable_micro_batches_bucket_to_powers_of_two(rng):
     """Serving batchers form batches of 1..max; the fused program pads them to
     the next power of two, so the arena holds log2 buffer sets, not one per
-    distinct batch size — and every padded result still matches the eager path."""
+    distinct batch size — and every padded result still matches the dense model."""
     model, report = _pruned_tiny()
     compiled = compile_model(model, report.masks, apply_masks=False)
-    try:
-        for n in range(1, 9):
-            x = rng.standard_normal((n, 3, 64, 64)).astype(np.float32)
-            fused = compiled.forward_raw(x)
-            assert fused.shape[0] == n
-            compiled.fuse = False
-            eager = compiled.forward_raw(x)
-            compiled.fuse = True
-            np.testing.assert_allclose(fused, eager, atol=TOL, rtol=0)
-        after_sweep = compiled.arena_stats()
-        # Batch sizes 1..8 collapse onto buckets {1, 2, 4, 8}.
-        for n in range(1, 9):
-            x = rng.standard_normal((n, 3, 64, 64)).astype(np.float32)
-            compiled.forward_raw(x)
-        assert compiled.arena_stats()["misses"] == after_sweep["misses"], (
-            "a second sweep over the same batch sizes must be allocation-free")
-        # Strict bound: buffers grew for 4 buckets, not 8 batch sizes.
-        fresh = compile_model(model, report.masks, apply_masks=False)
-        try:
-            fresh.forward_raw(rng.standard_normal((4, 3, 64, 64)).astype(np.float32))
-            one_bucket = fresh.arena_stats()["buffers"]
-        finally:
-            fresh.detach()
-            compiled.attach()
-        assert after_sweep["buffers"] <= 4 * (one_bucket + 1), (
-            f"{after_sweep['buffers']} buffers for 8 batch sizes; expected at "
-            f"most 4 buckets x ~{one_bucket}")
-    finally:
-        compiled.detach()
+    for n in range(1, 9):
+        x = rng.standard_normal((n, 3, 64, 64)).astype(np.float32)
+        fused = compiled.forward_raw(x)
+        assert fused.shape[0] == n
+        dense = BatchRunner(model, batch_size=n).run(x)
+        np.testing.assert_allclose(fused, dense, atol=TOL, rtol=0)
+    after_sweep = compiled.arena_stats()
+    # Batch sizes 1..8 collapse onto buckets {1, 2, 4, 8}.
+    for n in range(1, 9):
+        x = rng.standard_normal((n, 3, 64, 64)).astype(np.float32)
+        compiled.forward_raw(x)
+    assert compiled.arena_stats()["misses"] == after_sweep["misses"], (
+        "a second sweep over the same batch sizes must be allocation-free")
+    # Strict bound: buffers grew for 4 buckets, not 8 batch sizes.
+    fresh = compile_model(model, report.masks, apply_masks=False)
+    fresh.forward_raw(rng.standard_normal((4, 3, 64, 64)).astype(np.float32))
+    one_bucket = fresh.arena_stats()["buffers"]
+    assert after_sweep["buffers"] <= 4 * (one_bucket + 1), (
+        f"{after_sweep['buffers']} buffers for 8 batch sizes; expected at "
+        f"most 4 buckets x ~{one_bucket}")
 
 
 def test_dead_thread_arenas_are_reclaimed(rng):
@@ -464,39 +497,33 @@ def test_dead_thread_arenas_are_reclaimed(rng):
 
     model, report = _pruned_tiny()
     compiled = compile_model(model, report.masks, apply_masks=False)
-    try:
-        x = rng.standard_normal((1, 3, 64, 64)).astype(np.float32)
-        compiled.forward_raw(x)
-        for _ in range(5):
-            t = threading.Thread(target=compiled.forward_raw, args=(x,))
-            t.start()
-            t.join(30.0)
-        gc.collect()
-        stats = compiled.arena_stats()
-        assert stats["arenas"] == 1, (
-            f"expected only this thread's arena to survive, got {stats['arenas']}")
-    finally:
-        compiled.detach()
+    x = rng.standard_normal((1, 3, 64, 64)).astype(np.float32)
+    compiled.forward_raw(x)
+    for _ in range(5):
+        t = threading.Thread(target=compiled.forward_raw, args=(x,))
+        t.start()
+        t.join(30.0)
+    gc.collect()
+    stats = compiled.arena_stats()
+    assert stats["arenas"] == 1, (
+        f"expected only this thread's arena to survive, got {stats['arenas']}")
 
 
 # ---------------------------------------------------------------- batch runner
 def test_batch_runner_pads_tail_batch_through_one_shape(rng):
     model, report = _pruned_tiny()
     compiled = compile_model(model, report.masks, apply_masks=False)
-    try:
-        x = rng.standard_normal((7, 3, 64, 64)).astype(np.float32)
-        runner = BatchRunner(compiled, batch_size=3)
-        out = runner.run(x)                        # batches: 3, 3, 1 (padded)
-        assert out.shape[0] == 7
-        assert runner.last_stats.batches == 3 and runner.last_stats.images == 7
-        np.testing.assert_allclose(
-            out, BatchRunner(compiled, batch_size=7).run(x), atol=0, rtol=0)
-        # Every batch (incl. the padded tail) ran at one shape -> one arena set.
-        warm = compiled.arena_stats()["misses"]
-        runner.run(x)
-        assert compiled.arena_stats()["misses"] == warm
-    finally:
-        compiled.detach()
+    x = rng.standard_normal((7, 3, 64, 64)).astype(np.float32)
+    runner = BatchRunner(compiled, batch_size=3)
+    out = runner.run(x)                        # batches: 3, 3, 1 (padded)
+    assert out.shape[0] == 7
+    assert runner.last_stats.batches == 3 and runner.last_stats.images == 7
+    np.testing.assert_allclose(
+        out, BatchRunner(compiled, batch_size=7).run(x), atol=0, rtol=0)
+    # Every batch (incl. the padded tail) ran at one shape -> one arena set.
+    warm = compiled.arena_stats()["misses"]
+    runner.run(x)
+    assert compiled.arena_stats()["misses"] == warm
 
 
 def test_batch_runner_staging_buffer_is_reused(rng):
@@ -524,18 +551,18 @@ def test_batch_runner_staging_buffer_is_reused(rng):
 
 # ------------------------------------------------------------------- artifacts
 def test_artifact_save_load_refusion_round_trip(tmp_path):
-    """Save -> load re-fuses per the recorded meta; outputs stay equivalent."""
+    """Save -> load re-fuses the engine; outputs stay equivalent."""
     from repro.pipeline import DeployableArtifact, Pipeline, RunSpec
 
     spec = RunSpec.from_dict({
         "name": "fused-artifact",
         "model": {"name": "tiny", "kwargs": {"base_channels": 8, "image_size": 64}},
         "framework": {"name": "rtoss-2ep", "trace_size": 64},
-        "engine": {"enabled": True, "fuse": True},
+        "engine": {"enabled": True},
         "evaluation": {"enabled": False},
     })
     artifact = Pipeline.from_spec(spec).run()
-    assert artifact.compiled is not None and artifact.compiled.fuse
+    assert artifact.compiled is not None
 
     rng = np.random.default_rng(7)
     x = rng.standard_normal((2, 3, 64, 64)).astype(np.float32)
@@ -544,31 +571,20 @@ def test_artifact_save_load_refusion_round_trip(tmp_path):
 
     path = artifact.save(str(tmp_path / "fused.npz"))
     restored = DeployableArtifact.load(path)
-    assert restored.compiled is not None and restored.compiled.fuse
+    assert restored.compiled is not None
     reloaded = restored.forward_raw(x)
     assert restored.compiled.fused_active, restored.compiled.fuse_failure
     np.testing.assert_allclose(reloaded, original, atol=TOL, rtol=0)
 
 
-def test_artifact_fuse_disabled_round_trips(tmp_path):
-    from repro.pipeline import DeployableArtifact, Pipeline, RunSpec
+def test_spec_rejects_the_removed_fuse_switch():
+    """Fusion is not optional: a spec (or an artifact's recorded spec) that
+    still sets ``engine.fuse`` fails loudly instead of being ignored."""
+    from repro.pipeline import RunSpec
 
-    spec = RunSpec.from_dict({
-        "name": "unfused-artifact",
-        "model": {"name": "tiny", "kwargs": {"base_channels": 8, "image_size": 64}},
-        "framework": {"name": "rtoss-2ep", "trace_size": 64},
-        "engine": {"enabled": True, "fuse": False},
-        "evaluation": {"enabled": False},
-    })
-    artifact = Pipeline.from_spec(spec).run()
-    assert artifact.compiled is not None and not artifact.compiled.fuse
-    path = artifact.save(str(tmp_path / "unfused.npz"))
-    restored = DeployableArtifact.load(path)
-    assert restored.compiled is not None and not restored.compiled.fuse
-    rng = np.random.default_rng(7)
-    x = rng.standard_normal((1, 3, 64, 64)).astype(np.float32)
-    restored.forward_raw(x)
-    assert not restored.compiled.fused_active
+    with pytest.raises(ValueError, match="fuse"):
+        RunSpec.from_dict({"model": {"name": "tiny"},
+                           "engine": {"enabled": True, "fuse": False}})
 
 
 # ----------------------------------------------------------------- measurement
@@ -577,21 +593,21 @@ def test_measure_speedup_reports_fused_metrics():
     m = measure_speedup(model, masks=report.masks, repeats=1, warmup=0,
                         batch=1, image_size=64, model_name="tiny")
     assert m.max_abs_diff < TOL
-    assert m.fused_seconds > 0
-    assert m.fused_speedup > 0 and m.fusion_speedup > 0
+    assert m.compiled_seconds > 0
+    assert m.speedup > 0 and m.nograd_speedup > 0
     row = m.row()
-    assert "fused_speedup_nograd" in row and "fusion_speedup" in row
-    # The mode census comes from the executed plans, not a hardcoded label.
+    assert "compiled_ms" in row and "measured_speedup_nograd" in row
+    # The timed engine is the fused program: the mode census comes from the
+    # executed (folded) ops, not a hardcoded label.
     assert any("+bn" in mode for mode in m.mode_census), m.mode_census
-    # The engine must leave the model dense-callable (detached).
+    # The engine must leave the model dense-callable.
     out = model(Tensor(np.zeros((1, 3, 64, 64), dtype=np.float32)))
     assert out.requires_grad
 
 
-def test_measure_speedup_fuse_disabled_reports_zero():
+def test_measure_speedup_without_int8_reports_zero():
     model, report = _pruned_tiny()
     m = measure_speedup(model, masks=report.masks, repeats=1, warmup=0,
-                        batch=1, image_size=64, model_name="tiny", fuse=False)
-    assert m.fused_seconds == 0.0
-    assert m.fused_speedup == 0.0 and m.fusion_speedup == 0.0
-    assert "fused_ms" not in m.row()
+                        batch=1, image_size=64, model_name="tiny")
+    assert m.quantized_seconds == 0.0 and m.quantized_speedup == 0.0
+    assert "quantized_ms" not in m.row()

@@ -59,8 +59,7 @@ def _pruned_tiny(entries: int = 2, image_size: int = 64, base_channels: int = 16
 def _int8_tiny(x: np.ndarray, entries: int = 2):
     """Pruned TinyDetector compiled with the int8 path armed + calibrated."""
     model, report = _pruned_tiny(entries=entries, image_size=x.shape[-1])
-    compiled = compile_model(model, report.masks, apply_masks=False,
-                             fuse=True, int8=True)
+    compiled = compile_model(model, report.masks, apply_masks=False, int8=True)
     compiled.calibrate_int8(x)
     return compiled
 
@@ -122,27 +121,24 @@ def test_per_layer_equivalence_bn_act_matrix(with_bn, act, rng):
     model.eval()
 
     x = rng.standard_normal((2, 8, 12, 14)).astype(np.float32)
-    compiled = compile_model(model, fuse=True, int8=True)
-    try:
-        compiled.calibrate_int8(x)
-        quantized = compiled.forward_raw(x)
-        assert compiled.int8_active, compiled.int8_failure
+    compiled = compile_model(model, int8=True)
+    compiled.calibrate_int8(x)
+    quantized = compiled.forward_raw(x)
+    assert compiled.int8_active, compiled.int8_failure
 
-        ops = _quant_ops(compiled)
-        assert len(ops) == 1
-        op = ops[0]
-        suffix = "+bn" if with_bn else ""
-        suffix += f"+{act}" if act else ""
-        assert op.mode.endswith(f"{suffix}+int8"), op.mode
+    ops = _quant_ops(compiled)
+    assert len(ops) == 1
+    op = ops[0]
+    suffix = "+bn" if with_bn else ""
+    suffix += f"+{act}" if act else ""
+    assert op.mode.endswith(f"{suffix}+int8"), op.mode
 
-        compiled.int8 = False
-        reference = compiled.forward_raw(x)
-        bound = _layer_error_bound(op).reshape(1, -1, 1, 1)
-        assert np.all(np.abs(quantized - reference) <= bound), (
-            f"int8 error {np.abs(quantized - reference).max():.5f} above the "
-            f"scale bound for mode {op.mode}")
-    finally:
-        compiled.detach()
+    compiled.int8 = False
+    reference = compiled.forward_raw(x)
+    bound = _layer_error_bound(op).reshape(1, -1, 1, 1)
+    assert np.all(np.abs(quantized - reference) <= bound), (
+        f"int8 error {np.abs(quantized - reference).max():.5f} above the "
+        f"scale bound for mode {op.mode}")
 
 
 # ------------------------------------------------------------------- end-to-end
@@ -151,21 +147,18 @@ def test_e2e_error_budget_on_pruned_tiny(rng):
     float fused path, and every conv actually runs on the integer path."""
     x = rng.standard_normal((4, 3, 64, 64)).astype(np.float32)
     compiled = _int8_tiny(x)
-    try:
-        quantized = compiled.forward_raw(x)
-        assert compiled.engine_mode == "int8", compiled.int8_failure
-        modes = compiled.summary()
-        int8_modes = [row["mode"] for row in modes if row["mode"].endswith("+int8")]
-        assert len(int8_modes) == compiled.num_compiled_layers
+    quantized = compiled.forward_raw(x)
+    assert compiled.engine_mode == "int8", compiled.int8_failure
+    modes = compiled.summary()
+    int8_modes = [row["mode"] for row in modes if row["mode"].endswith("+int8")]
+    assert len(int8_modes) == compiled.num_compiled_layers
 
-        compiled.int8 = False
-        reference = compiled.forward_raw(x)
-        scale = max(np.abs(reference).max(), 1.0)
-        err = np.abs(quantized - reference)
-        assert err.mean() <= E2E_MEAN_BUDGET * scale
-        assert err.max() <= E2E_MAX_BUDGET * scale
-    finally:
-        compiled.detach()
+    compiled.int8 = False
+    reference = compiled.forward_raw(x)
+    scale = max(np.abs(reference).max(), 1.0)
+    err = np.abs(quantized - reference)
+    assert err.mean() <= E2E_MEAN_BUDGET * scale
+    assert err.max() <= E2E_MAX_BUDGET * scale
 
 
 def test_sparsity_preserved_in_packed_layout(rng):
@@ -174,35 +167,32 @@ def test_sparsity_preserved_in_packed_layout(rng):
     survives quantization bit-for-bit)."""
     x = rng.standard_normal((2, 3, 64, 64)).astype(np.float32)
     compiled = _int8_tiny(x)
-    try:
-        compiled.forward_raw(x)
-        ops = _quant_ops(compiled)
-        assert ops
-        assert compiled.kept_columns() < compiled.total_columns(), (
-            "test seed must drop at least one im2col column")
-        dropped = 0
-        for op in ops:
-            plan = op.plan
-            # The integer K dimension is the *kept* column count: pruned
-            # columns are skipped outright, not multiplied by zero codes.
-            assert op.k == plan.kept_columns.size
-            dropped += plan.total_columns - plan.kept_columns.size
+    compiled.forward_raw(x)
+    ops = _quant_ops(compiled)
+    assert ops
+    assert compiled.kept_columns() < compiled.total_columns(), (
+        "test seed must drop at least one im2col column")
+    dropped = 0
+    for op in ops:
+        plan = op.plan
+        # The integer K dimension is the *kept* column count: pruned
+        # columns are skipped outright, not multiplied by zero codes.
+        assert op.k == plan.kept_columns.size
+        dropped += plan.total_columns - plan.kept_columns.size
 
-            # wt_i8 is (Kp, Op): recover the (O, K) codes and check both the
-            # zero-code invariant and the padding lanes.
-            codes = op.wt_i8.T.astype(np.int32)
-            out_channels = plan.out_channels
-            assert not codes[out_channels:].any(), "padded rows must be zero"
-            assert not codes[:, op.k:].any(), "padded K lanes must be zero"
-            folded = op.weight                 # float matrix, kept columns
-            if op.perm is not None:
-                folded = folded[:, op.perm]
-            zero_mask = folded == 0.0
-            assert not codes[:out_channels, :op.k][zero_mask].any(), (
-                f"{op.layer_name}: a pruned (zero) weight got a nonzero code")
-        assert dropped > 0
-    finally:
-        compiled.detach()
+        # wt_i8 is (Kp, Op): recover the (O, K) codes and check both the
+        # zero-code invariant and the padding lanes.
+        codes = op.wt_i8.T.astype(np.int32)
+        out_channels = plan.out_channels
+        assert not codes[out_channels:].any(), "padded rows must be zero"
+        assert not codes[:, op.k:].any(), "padded K lanes must be zero"
+        folded = op.weight                 # float matrix, kept columns
+        if op.perm is not None:
+            folded = folded[:, op.perm]
+        zero_mask = folded == 0.0
+        assert not codes[:out_channels, :op.k][zero_mask].any(), (
+            f"{op.layer_name}: a pruned (zero) weight got a nonzero code")
+    assert dropped > 0
 
 
 def test_batch_bucketing_bit_identical(rng):
@@ -210,16 +200,13 @@ def test_batch_bucketing_bit_identical(rng):
     rows, and batch composition never changes a single output bit."""
     x = rng.standard_normal((5, 3, 64, 64)).astype(np.float32)
     compiled = _int8_tiny(x)
-    try:
-        singles = np.concatenate(
-            [compiled.forward_raw(x[i:i + 1]) for i in range(5)], axis=0)
-        assert compiled._int8_program.bucket_safe
-        for n in (1, 3, 5):                   # 3 and 5 pad to 4 and 8
-            batched = compiled.forward_raw(x[:n])
-            assert batched.shape[0] == n
-            np.testing.assert_array_equal(batched, singles[:n])
-    finally:
-        compiled.detach()
+    singles = np.concatenate(
+        [compiled.forward_raw(x[i:i + 1]) for i in range(5)], axis=0)
+    assert compiled._int8_program.bucket_safe
+    for n in (1, 3, 5):                   # 3 and 5 pad to 4 and 8
+        batched = compiled.forward_raw(x[:n])
+        assert batched.shape[0] == n
+        np.testing.assert_array_equal(batched, singles[:n])
 
 
 # ------------------------------------------------------------------- kernels
@@ -233,11 +220,8 @@ def test_fp32acc_and_int32_kernels_bit_identical(rng):
         quant.FORCE_GEMM_KERNEL = kernel
         quant.reset_kernel_cache()
         compiled = _int8_tiny(x)
-        try:
-            outputs[kernel] = compiled.forward_raw(x)
-            assert compiled.engine_mode == "int8"
-        finally:
-            compiled.detach()
+        outputs[kernel] = compiled.forward_raw(x)
+        assert compiled.engine_mode == "int8"
     np.testing.assert_array_equal(outputs["fp32acc"], outputs["int32"])
 
 
@@ -252,20 +236,14 @@ def test_native_kernel_matches_numpy_within_budget(rng):
     quant.FORCE_GEMM_KERNEL = "int32"
     quant.reset_kernel_cache()
     compiled = _int8_tiny(x)
-    try:
-        exact = compiled.forward_raw(x)
-    finally:
-        compiled.detach()
+    exact = compiled.forward_raw(x)
 
     quant.FORCE_GEMM_KERNEL = "vnni"
     compiled = _int8_tiny(x)
-    try:
-        native = compiled.forward_raw(x)
-        assert all(op.gemm_kernel == "vnni" for op in _quant_ops(compiled))
-        compiled.int8 = False
-        reference = compiled.forward_raw(x)
-    finally:
-        compiled.detach()
+    native = compiled.forward_raw(x)
+    assert all(op.gemm_kernel == "vnni" for op in _quant_ops(compiled))
+    compiled.int8 = False
+    reference = compiled.forward_raw(x)
 
     # vnni vs numpy differ only through the polynomial exp in SiLU (~1e-7
     # relative) plus at most one requant code flip propagating downstream.
@@ -283,42 +261,36 @@ def test_overflow_guard_forces_int32(rng):
     model = Sequential(conv)
     model.eval()
     x = rng.standard_normal((1, 8, 10, 10)).astype(np.float32)
-    compiled = compile_model(model, fuse=True, int8=True)
-    try:
-        compiled.calibrate_int8(x)
-        compiled.forward_raw(x)
-        op = _quant_ops(compiled)[0]
-        # K = 72 here: comfortably exact, no forcing.
-        assert op.kernel_forced is None
-        assert op.k * 127 * 255 < 2 ** 24
-        # The forcing threshold itself.
-        forced_k = int(np.ceil(2 ** 24 / (127 * 255)))
-        assert (quant._ceil_to(forced_k, 1) * 127 * 255) >= 2 ** 24
-    finally:
-        compiled.detach()
+    compiled = compile_model(model, int8=True)
+    compiled.calibrate_int8(x)
+    compiled.forward_raw(x)
+    op = _quant_ops(compiled)[0]
+    # K = 72 here: comfortably exact, no forcing.
+    assert op.kernel_forced is None
+    assert op.k * 127 * 255 < 2 ** 24
+    # The forcing threshold itself.
+    forced_k = int(np.ceil(2 ** 24 / (127 * 255)))
+    assert (quant._ceil_to(forced_k, 1) * 127 * 255) >= 2 ** 24
 
 
 # ------------------------------------------------------------------ lowering
 def test_lower_int8_rejects_16_bit_codes(rng):
     """bits=16 has no int8 hot path; lowering refuses instead of mis-executing."""
     model, report = _pruned_tiny()
-    compiled = compile_model(model, report.masks, apply_masks=False, fuse=True)
-    try:
-        x = rng.standard_normal((1, 3, 64, 64)).astype(np.float32)
-        compiled.forward_raw(x)
-        program = compiled._fused_program
-        stats = calibrate_activation_scales(program, [x])
-        with pytest.raises(QuantLoweringError):
-            lower_int8(program, 16, stats)
-        # And through the compiler: the float path keeps serving.
-        compiled.int8 = True
-        compiled._quantization = {"bits": 16, "activation_scales": stats}
-        out = compiled.forward_raw(x)
-        assert compiled.engine_mode == "fused"
-        assert compiled.int8_failure is not None
-        assert np.isfinite(out).all()
-    finally:
-        compiled.detach()
+    compiled = compile_model(model, report.masks, apply_masks=False)
+    x = rng.standard_normal((1, 3, 64, 64)).astype(np.float32)
+    compiled.forward_raw(x)
+    program = compiled._fused_program
+    stats = calibrate_activation_scales(program, [x])
+    with pytest.raises(QuantLoweringError):
+        lower_int8(program, 16, stats)
+    # And through the compiler: the float path keeps serving.
+    compiled.int8 = True
+    compiled._quantization = {"bits": 16, "activation_scales": stats}
+    out = compiled.forward_raw(x)
+    assert compiled.engine_mode == "fused"
+    assert compiled.int8_failure is not None
+    assert np.isfinite(out).all()
 
 
 def test_code_edges_only_between_lowered_convs(rng):
@@ -326,18 +298,15 @@ def test_code_edges_only_between_lowered_convs(rng):
     and the producer's channel count tiles by 16; model outputs stay float."""
     x = rng.standard_normal((2, 3, 64, 64)).astype(np.float32)
     compiled = _int8_tiny(x)
-    try:
-        compiled.forward_raw(x)
-        ops = _quant_ops(compiled)
-        output_slots = set(compiled._int8_program.graph.output_slots())
-        assert any(op.out_scale is not None for op in ops), (
-            "expected at least one uint8 code edge in the tiny detector")
-        for op in ops:
-            if op.out_scale is not None:
-                assert op.out_slot not in output_slots
-                assert op.plan.out_channels % 16 == 0
-    finally:
-        compiled.detach()
+    compiled.forward_raw(x)
+    ops = _quant_ops(compiled)
+    output_slots = set(compiled._int8_program.graph.output_slots())
+    assert any(op.out_scale is not None for op in ops), (
+        "expected at least one uint8 code edge in the tiny detector")
+    for op in ops:
+        if op.out_scale is not None:
+            assert op.out_slot not in output_slots
+            assert op.plan.out_channels % 16 == 0
 
 
 # ------------------------------------------------------------- concurrency
@@ -346,33 +315,30 @@ def test_concurrent_lazy_calibration_thread_safe(rng):
     exactly one lowering happens, nobody crashes, and every thread's outputs
     are the same bits the settled engine produces."""
     model, report = _pruned_tiny()
-    compiled = compile_model(model, report.masks, apply_masks=False,
-                             fuse=True, int8=True)   # no calibrate_int8 call
-    try:
-        x = rng.standard_normal((2, 3, 64, 64)).astype(np.float32)
-        barrier = threading.Barrier(4)
-        results, errors = {}, []
+    # No calibrate_int8 call: the first forwards calibrate lazily.
+    compiled = compile_model(model, report.masks, apply_masks=False, int8=True)
+    x = rng.standard_normal((2, 3, 64, 64)).astype(np.float32)
+    barrier = threading.Barrier(4)
+    results, errors = {}, []
 
-        def work(tid):
-            try:
-                barrier.wait()
-                for _ in range(3):
-                    results[tid] = compiled.forward_raw(x)
-            except Exception as error:       # pragma: no cover - failure path
-                errors.append(error)
+    def work(tid):
+        try:
+            barrier.wait()
+            for _ in range(3):
+                results[tid] = compiled.forward_raw(x)
+        except Exception as error:       # pragma: no cover - failure path
+            errors.append(error)
 
-        threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert not errors
-        assert compiled.engine_mode == "int8", compiled.int8_failure
-        settled = compiled.forward_raw(x)
-        for tid, out in results.items():
-            np.testing.assert_array_equal(out, settled)
-    finally:
-        compiled.detach()
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    assert not errors
+    assert compiled.engine_mode == "int8", compiled.int8_failure
+    settled = compiled.forward_raw(x)
+    for tid, out in results.items():
+        np.testing.assert_array_equal(out, settled)
 
 
 # ---------------------------------------------------------------- artifact
@@ -404,12 +370,8 @@ def test_artifact_save_load_refuses_into_int8(tmp_path, rng):
 
     path = artifact.save(str(tmp_path / "int8.npz"))
     loaded = DeployableArtifact.load(path)
-    try:
-        assert loaded.compiled.int8
-        assert loaded.compiled.quantization.get("activation_scales") == scales
-        reloaded = loaded.compiled.forward_raw(x)
-        assert loaded.compiled.engine_mode == "int8", loaded.compiled.int8_failure
-        np.testing.assert_array_equal(reloaded, original)
-    finally:
-        loaded.compiled.detach()
-        artifact.compiled.detach()
+    assert loaded.compiled.int8
+    assert loaded.compiled.quantization.get("activation_scales") == scales
+    reloaded = loaded.compiled.forward_raw(x)
+    assert loaded.compiled.engine_mode == "int8", loaded.compiled.int8_failure
+    np.testing.assert_array_equal(reloaded, original)

@@ -46,14 +46,11 @@ def test_no_grad_context_disables_and_restores_tape():
 def test_batch_runner_matches_single_batch(rng):
     model, report = _pruned_tiny()
     compiled = compile_model(model, report.masks)
-    try:
-        x = rng.standard_normal((7, 3, 64, 64)).astype(np.float32)
-        full = BatchRunner(compiled, batch_size=7).run(x)
-        chunked = BatchRunner(compiled, batch_size=3).run(x)
-        np.testing.assert_allclose(full, chunked, atol=0, rtol=0)
-        assert full.shape[0] == 7
-    finally:
-        compiled.detach()
+    x = rng.standard_normal((7, 3, 64, 64)).astype(np.float32)
+    full = BatchRunner(compiled, batch_size=7).run(x)
+    chunked = BatchRunner(compiled, batch_size=3).run(x)
+    np.testing.assert_allclose(full, chunked, atol=0, rtol=0)
+    assert full.shape[0] == 7
 
 
 def test_batch_runner_stats_and_plain_module(rng):
@@ -119,59 +116,52 @@ def test_layout_cache_reused_across_calls(rng):
         assert layout_cache_stats().misses == first, "second call must hit the cache"
         assert layout_cache_stats().hits > 0
     finally:
-        compiled.detach()
         reset_layout_cache_stats()
 
 
 def test_refresh_picks_up_weight_changes(rng):
     model, report = _pruned_tiny()
     compiled = compile_model(model, report.masks)
-    try:
-        x = Tensor(rng.standard_normal((1, 3, 64, 64)).astype(np.float32))
-        before = compiled(x).data.copy()
-        # Fine-tuning-style update: scale surviving weights, keep the mask.
-        for _, param in model.named_parameters():
-            param.data *= 1.5
-        report.masks.reapply(model)
-        compiled.refresh()
-        after = compiled(x).data
-        assert not np.allclose(before, after)
-        model.eval()
-        dense = model(x).data
-        # Scaling every parameter by 1.5 blows intermediate activations up by
-        # ~2x per layer; the fused executor folds BN into the conv weights,
-        # which legitimately reorders the float32 math, so the comparison must
-        # scale with the output magnitude rather than use a fixed 1e-4.
-        tolerance = 1e-5 * max(1.0, float(np.abs(dense).max()))
-        np.testing.assert_allclose(after, dense, atol=tolerance, rtol=0)
-    finally:
-        compiled.detach()
+    x = Tensor(rng.standard_normal((1, 3, 64, 64)).astype(np.float32))
+    before = compiled(x).data.copy()
+    # Fine-tuning-style update: scale surviving weights, keep the mask.
+    for _, param in model.named_parameters():
+        param.data *= 1.5
+    report.masks.reapply(model)
+    compiled.refresh()
+    after = compiled(x).data
+    assert not np.allclose(before, after)
+    model.eval()
+    dense = model(x).data
+    # Scaling every parameter by 1.5 blows intermediate activations up by
+    # ~2x per layer; the fused executor folds BN into the conv weights,
+    # which legitimately reorders the float32 math, so the comparison must
+    # scale with the output magnitude rather than use a fixed 1e-4.
+    tolerance = 1e-5 * max(1.0, float(np.abs(dense).max()))
+    np.testing.assert_allclose(after, dense, atol=tolerance, rtol=0)
 
 
 def test_refresh_recompiles_on_mask_change(rng):
     model, report = _pruned_tiny(entries=3)
     compiled = compile_model(model, report.masks)
-    try:
-        name, plan = next(iter(compiled.plans.items()))
-        layer = dict(model.named_modules())[name]
-        # Prune one extra whole column -> the plan signature goes stale.
-        mask = layer.keep_mask()
-        col = int(plan.kept_columns[0])
-        kh, kw = plan.kernel_size
-        mask.reshape(mask.shape[0], -1)[:, col] = 0.0
-        layer.pruning_masks["weight"] = mask
-        layer.weight.data *= mask
-        assert plan.is_stale(layer)
-        compiled.refresh()
-        new_plan = compiled.plans[name]
-        assert new_plan.signature != plan.signature
-        assert col not in new_plan.kept_columns
-        x = Tensor(rng.standard_normal((1, 3, 64, 64)).astype(np.float32))
-        model_out = compiled(x).data
-        model.eval()
-        np.testing.assert_allclose(model_out, model(x).data, atol=1e-5, rtol=0)
-    finally:
-        compiled.detach()
+    name, plan = next(iter(compiled.plans.items()))
+    layer = dict(model.named_modules())[name]
+    # Prune one extra whole column -> the plan signature goes stale.
+    mask = layer.keep_mask()
+    col = int(plan.kept_columns[0])
+    kh, kw = plan.kernel_size
+    mask.reshape(mask.shape[0], -1)[:, col] = 0.0
+    layer.pruning_masks["weight"] = mask
+    layer.weight.data *= mask
+    assert plan.is_stale(layer)
+    compiled.refresh()
+    new_plan = compiled.plans[name]
+    assert new_plan.signature != plan.signature
+    assert col not in new_plan.kept_columns
+    x = Tensor(rng.standard_normal((1, 3, 64, 64)).astype(np.float32))
+    model_out = compiled(x).data
+    model.eval()
+    np.testing.assert_allclose(model_out, model(x).data, atol=1e-5, rtol=0)
 
 
 def test_refresh_masks_drifted_weights(rng):
@@ -179,50 +169,37 @@ def test_refresh_masks_drifted_weights(rng):
     compiled path: refresh() re-packs with the keep-mask applied."""
     model, report = _pruned_tiny()
     compiled = compile_model(model, report.masks)
-    try:
-        # Simulate dense-path gradient drift: every weight (masked ones too)
-        # moves away from zero, and reapply() is *not* called.
-        for _, param in model.named_parameters():
-            param.data += 0.01
-        compiled.refresh()
-        x = Tensor(rng.standard_normal((1, 3, 64, 64)).astype(np.float32))
-        compiled_out = compiled(x).data
-        # Ground truth: the masked-dense forward.
-        report.masks.reapply(model)
-        model.eval()
-        masked_dense = model(x).data
-        np.testing.assert_allclose(compiled_out, masked_dense, atol=1e-5, rtol=0)
-    finally:
-        compiled.detach()
+    # Simulate dense-path gradient drift: every weight (masked ones too)
+    # moves away from zero, and reapply() is *not* called.
+    for _, param in model.named_parameters():
+        param.data += 0.01
+    compiled.refresh()
+    x = Tensor(rng.standard_normal((1, 3, 64, 64)).astype(np.float32))
+    compiled_out = compiled(x).data
+    # Ground truth: the masked-dense forward.
+    report.masks.reapply(model)
+    model.eval()
+    masked_dense = model(x).data
+    np.testing.assert_allclose(compiled_out, masked_dense, atol=1e-5, rtol=0)
 
 
 def test_second_engine_takes_over_cleanly(rng):
-    """Compiling a second engine on the same model supersedes the first instead
-    of stacking; detaching either leaves the model in a consistent state."""
+    """Compiling a second engine on the same model never stacks: neither
+    engine rewires the model, both serve the same fused outputs, and the
+    model itself stays the taped dense path throughout."""
     model, report = _pruned_tiny()
     x = Tensor(rng.standard_normal((1, 3, 64, 64)).astype(np.float32))
     first = compile_model(model, report.masks)
     expected = first(x).data.copy()
     second = compile_model(model, report.masks, apply_masks=False)
-    assert not first._attached, "second engine must mark the first detached"
     np.testing.assert_allclose(second(x).data, expected, atol=0, rtol=0)
+    np.testing.assert_allclose(first(x).data, expected, atol=0, rtol=0)
+    assert first.engine_mode == second.engine_mode == "fused"
 
-    # Detaching the superseded engine must not strip the active one.
-    first.detach()
-    layers_with_wrappers = [
-        name for name, mod in model.named_modules()
-        if getattr(mod.__dict__.get("forward"), "_engine_plan", None) is not None
-    ]
-    assert layers_with_wrappers, "active engine wrappers must survive first.detach()"
-    np.testing.assert_allclose(second(x).data, expected, atol=0, rtol=0)
-
-    second.detach()
-    assert not any(
-        getattr(mod.__dict__.get("forward"), "_engine_plan", None) is not None
-        for _, mod in model.named_modules()
-    ), "model must be fully dense after the active engine detaches"
+    assert not any("forward" in mod.__dict__ for _, mod in model.named_modules()), (
+        "compiling must never shadow a layer's forward")
     out = model(x)
-    assert out.requires_grad  # taped dense path restored
+    assert out.requires_grad  # taped dense path untouched
 
 
 def test_mask_signature_stable_and_sensitive():
@@ -252,11 +229,8 @@ def test_runner_and_bench_handle_multi_output_models(rng):
     model = TwoHead()
     x = rng.standard_normal((5, 3, 16, 16)).astype(np.float32)
     compiled = compile_model(model)
-    try:
-        out_a, out_b = BatchRunner(compiled, batch_size=2).run(x)
-        assert out_a.shape[0] == 5 and out_b.shape[0] == 5
-    finally:
-        compiled.detach()
+    out_a, out_b = BatchRunner(compiled, batch_size=2).run(x)
+    assert out_a.shape[0] == 5 and out_b.shape[0] == 5
     m = measure_speedup(model, x=x, repeats=1, warmup=0, model_name="twohead")
     assert m.max_abs_diff < 1e-5  # diff computed across the whole tuple
 
@@ -271,7 +245,7 @@ def test_measure_speedup_reports_equivalent_outputs():
     assert m.compiled_layers > 0
     row = m.row()
     assert "measured_speedup" in row and "dense_ms" in row
-    # The engine must leave the model dense-callable (detached).
+    # The engine must leave the model dense-callable.
     out = model(Tensor(np.zeros((1, 3, 64, 64), dtype=np.float32)))
     assert out.requires_grad
 

@@ -35,44 +35,36 @@ def _run():
 def test_same_spec_same_seed_is_bit_identical(tmp_path):
     first = _run()
     second = _run()
-    try:
-        # Weights, masks and calibrated scales are content-identical.
-        state_a, state_b = first.model.state_dict(), second.model.state_dict()
-        assert state_a.keys() == state_b.keys()
-        for name in state_a:
-            np.testing.assert_array_equal(state_a[name], state_b[name])
-        assert first.masks.signature() == second.masks.signature()
-        assert first.quantization_meta == second.quantization_meta
-        assert first.quantization_meta["activation_scales"]
+    # Weights, masks and calibrated scales are content-identical.
+    state_a, state_b = first.model.state_dict(), second.model.state_dict()
+    assert state_a.keys() == state_b.keys()
+    for name in state_a:
+        np.testing.assert_array_equal(state_a[name], state_b[name])
+    assert first.masks.signature() == second.masks.signature()
+    assert first.quantization_meta == second.quantization_meta
+    assert first.quantization_meta["activation_scales"]
 
-        # Metrics (the analytic evaluation consumes quantized sizes) match.
-        assert first.metrics == second.metrics
+    # Metrics (the analytic evaluation consumes quantized sizes) match.
+    assert first.metrics == second.metrics
 
-        # The int8 executors produce the same bits on the same input.
-        x = np.random.default_rng(9).standard_normal(
-            (3, 3, 64, 64)).astype(np.float32)
-        out_a = first.compiled.forward_raw(x)
-        out_b = second.compiled.forward_raw(x)
-        assert first.compiled.engine_mode == "int8"
-        assert second.compiled.engine_mode == "int8"
-        np.testing.assert_array_equal(out_a, out_b)
+    # The int8 executors produce the same bits on the same input.
+    x = np.random.default_rng(9).standard_normal(
+        (3, 3, 64, 64)).astype(np.float32)
+    out_a = first.compiled.forward_raw(x)
+    out_b = second.compiled.forward_raw(x)
+    assert first.compiled.engine_mode == "int8"
+    assert second.compiled.engine_mode == "int8"
+    np.testing.assert_array_equal(out_a, out_b)
 
-        # And the persisted artifacts agree at content level (the .npz zip
-        # container itself embeds timestamps, so byte equality is the wrong
-        # assertion) — including after a reload round trip.
-        path_a = first.save(str(tmp_path / "a.npz"))
-        path_b = second.save(str(tmp_path / "b.npz"))
-        loaded_a = DeployableArtifact.load(path_a)
-        loaded_b = DeployableArtifact.load(path_b)
-        try:
-            assert (loaded_a.quantization_meta["activation_scales"]
-                    == loaded_b.quantization_meta["activation_scales"])
-            np.testing.assert_array_equal(loaded_a.compiled.forward_raw(x),
-                                          loaded_b.compiled.forward_raw(x))
-            np.testing.assert_array_equal(loaded_a.compiled.forward_raw(x), out_a)
-        finally:
-            loaded_a.compiled.detach()
-            loaded_b.compiled.detach()
-    finally:
-        first.compiled.detach()
-        second.compiled.detach()
+    # And the persisted artifacts agree at content level (the .npz zip
+    # container itself embeds timestamps, so byte equality is the wrong
+    # assertion) — including after a reload round trip.
+    path_a = first.save(str(tmp_path / "a.npz"))
+    path_b = second.save(str(tmp_path / "b.npz"))
+    loaded_a = DeployableArtifact.load(path_a)
+    loaded_b = DeployableArtifact.load(path_b)
+    assert (loaded_a.quantization_meta["activation_scales"]
+            == loaded_b.quantization_meta["activation_scales"])
+    np.testing.assert_array_equal(loaded_a.compiled.forward_raw(x),
+                                  loaded_b.compiled.forward_raw(x))
+    np.testing.assert_array_equal(loaded_a.compiled.forward_raw(x), out_a)

@@ -192,7 +192,8 @@ class TestCliRun:
         assert not (tmp_path / "from_spec.npz").exists()
 
     def test_run_command_measure_reuses_compiled_engine(self):
-        # With measure on, the engine measured is the one attached to the artifact.
+        # With measure on, the engine measured is the artifact's own: the
+        # measurement traced and fused it.
         spec = RunSpec.from_dict(dict(TINY_SPEC, name="measured",
                                       engine={"enabled": True, "measure": True,
                                               "image_size": 64, "batch": 1,
@@ -200,7 +201,8 @@ class TestCliRun:
                                       evaluation={"enabled": False}))
         result = Pipeline(spec).run()
         assert result.measurement is not None
-        assert result.compiled is not None and result.compiled._attached
+        assert result.compiled is not None
+        assert result.compiled.engine_mode == "fused"
         assert result.measurement["max_abs_diff"] < 1e-5
 
     def test_run_command_missing_spec(self, capsys):

@@ -36,7 +36,6 @@ def int8_artifact_path(tmp_path_factory) -> str:
     assert artifact.compiled.int8
     path = tmp_path_factory.mktemp("serving_int8") / "tiny_int8.npz"
     saved = artifact.save(str(path))
-    artifact.compiled.detach()
     return saved
 
 

@@ -12,7 +12,8 @@ package exposes that flow as one coherent, serializable, pluggable surface:
   object implementing the :class:`~repro.pipeline.stages.Stage` protocol,
 * :class:`DeployableArtifact` (:mod:`repro.pipeline.artifact`) — the result: a
   pruned (+quantized, +compiled) model that saves to / loads from a single
-  portable ``.npz`` file,
+  portable, uncompressed ``.npz`` file holding only the weights pruning kept
+  plus bit-packed masks (format version 2),
 * the pruning-framework registry it consumes lives in
   :mod:`repro.pruning.registry`.
 

@@ -134,7 +134,7 @@ class TestDeployableArtifact:
         assert path.endswith(".npz")
         restored = DeployableArtifact.load(path)
         reloaded = restored.forward_raw(batch)
-        assert np.abs(live - reloaded).max() < 1e-5
+        np.testing.assert_array_equal(reloaded, live)
 
     def test_loaded_artifact_preserves_report_and_metadata(self, artifact, tmp_path):
         path = artifact.save(str(tmp_path / "meta_artifact"))

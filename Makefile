@@ -15,17 +15,20 @@
 #   make cluster-smoke the artifact served through the multi-process cluster
 #                      (repro.serving.cluster, 2 workers; reuses the serve-smoke
 #                      artifact when present, builds it otherwise; exits
-#                      non-zero if cluster outputs diverge from sequential)
+#                      non-zero if cluster outputs diverge from sequential or
+#                      metrics.prom lacks the cluster request counter)
 #   make gateway-smoke the artifact served over localhost TCP through the
 #                      async gateway (repro.serving.gateway) and driven with
 #                      the wire-level client; exits non-zero unless the wire
-#                      results are bit-identical to in-process submits
+#                      results are bit-identical to in-process submits and
+#                      metrics.prom carries the gateway request counter
 #   make chaos-smoke   seeded fault-injection drill against the 2-worker
 #                      cluster (repro chaos: crash schedule under open-loop
 #                      load; exits non-zero on any dropped request or if p95
 #                      does not recover to its pre-fault band in time)
 #   make obs-smoke     observability end-to-end: a traced serve run exporting
-#                      snapshot.json / metrics.prom / metrics.jsonl /
+#                      snapshot.json / metrics.prom (checked for the serving
+#                      counter and latency series) / metrics.jsonl /
 #                      trace.json (Chrome trace-event format), rendered once
 #                      through `repro top`, plus a Prometheus dump via
 #                      `repro metrics` (reuses the serve-smoke artifact)
@@ -80,12 +83,18 @@ serve-smoke:
 cluster-smoke:
 	@test -f artifacts/serve-smoke.npz || \
 		$(PYTHON) -m repro.cli run --spec $(SMOKE_SPEC) --artifact artifacts/serve-smoke.npz --no-verify
-	$(PYTHON) -m repro.cli serve --artifact artifacts/serve-smoke.npz --workers 2 --requests 24 --concurrency 4
+	rm -rf artifacts/cluster-smoke
+	$(PYTHON) -m repro.cli serve --artifact artifacts/serve-smoke.npz --workers 2 --requests 24 --concurrency 4 --obs artifacts/cluster-smoke
+	@grep -q '^repro_cluster_requests_total' artifacts/cluster-smoke/metrics.prom \
+		|| { echo "cluster-smoke: metrics.prom is missing repro_cluster_requests_total"; exit 1; }
 
 gateway-smoke:
 	@test -f artifacts/serve-smoke.npz || \
 		$(PYTHON) -m repro.cli run --spec $(SMOKE_SPEC) --artifact artifacts/serve-smoke.npz --no-verify
-	$(PYTHON) -m repro.cli serve --artifact artifacts/serve-smoke.npz --requests 32 --concurrency 4 --gateway 127.0.0.1:0
+	rm -rf artifacts/gateway-smoke
+	$(PYTHON) -m repro.cli serve --artifact artifacts/serve-smoke.npz --requests 32 --concurrency 4 --gateway 127.0.0.1:0 --obs artifacts/gateway-smoke
+	@grep -q '^repro_gateway_requests_total' artifacts/gateway-smoke/metrics.prom \
+		|| { echo "gateway-smoke: metrics.prom is missing repro_gateway_requests_total"; exit 1; }
 
 chaos-smoke:
 	@test -f artifacts/serve-smoke.npz || \
@@ -99,6 +108,10 @@ obs-smoke:
 	rm -rf artifacts/obs-smoke
 	$(PYTHON) -m repro.cli serve --artifact artifacts/serve-smoke.npz --requests 32 --concurrency 4 --obs artifacts/obs-smoke
 	@test -f artifacts/obs-smoke/trace.json || { echo "obs-smoke: trace.json was not exported"; exit 1; }
+	@grep -q '^repro_serving_latency_seconds_count' artifacts/obs-smoke/metrics.prom \
+		|| { echo "obs-smoke: metrics.prom is missing repro_serving_latency_seconds_count"; exit 1; }
+	@grep -q '^# TYPE repro_serving_requests_total counter' artifacts/obs-smoke/metrics.prom \
+		|| { echo "obs-smoke: metrics.prom does not type repro_serving_requests_total as a counter"; exit 1; }
 	$(PYTHON) -m repro.cli top --obs artifacts/obs-smoke --once
 	$(PYTHON) -m repro.cli metrics --artifact artifacts/serve-smoke.npz --requests 16 --format prom | grep -q '^repro_serving_requests_total' \
 		|| { echo "obs-smoke: Prometheus export is missing repro_serving_requests_total"; exit 1; }

@@ -66,14 +66,6 @@ from repro.pruning.registry import (
 from repro.utils.rng import set_global_seed
 from repro.utils.serialization import save_state_dict
 
-# Deprecated: the framework-factory table now lives in repro.pruning.registry.
-# This mapping is kept so `from repro.cli import FRAMEWORKS` keeps working; use
-# `repro.pruning.registry.build_framework(name)` in new code.
-# Write-once at import, read-only afterwards.  # reprolint: disable=mutable-global
-FRAMEWORKS = {name: (lambda name=name: build_framework(name))
-              for name in available_frameworks()}
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="repro", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)

@@ -29,9 +29,9 @@ from repro.utils.profiling import LatencyStats
 class RunnerStats:
     """Wall-clock statistics of one :meth:`BatchRunner.run` call.
 
-    The serving layer's :class:`repro.serving.batcher.DynamicBatcher` reuses
-    this class to account for its executed micro-batches, so engine and service
-    report throughput through the same numbers.
+    ``batch_seconds`` grows with the call's input, so long-running serving
+    does not use it: :meth:`repro.serving.metrics.ServingMetrics.engine_report`
+    gives the same fields as :meth:`as_dict` from a bounded histogram.
     """
 
     batches: int = 0

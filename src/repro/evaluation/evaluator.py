@@ -206,7 +206,7 @@ class DetectorEvaluator:
         if framework_name:
             report.framework = framework_name
 
-        retention = self._energy_retention(model, pre_energy, report)
+        retention = weight_energy_retention(model, pre_energy, report)
         accuracy = estimate_pruned_map(report, self.baseline_map, retention)
 
         sparsity = SparsityProfile.from_report(report)
@@ -256,10 +256,3 @@ class DetectorEvaluator:
             image_size=self.trace_size,
             model_name=self.model_key,
         )
-
-    # ------------------------------------------------------------------ helpers
-    @staticmethod
-    def _energy_retention(model: Module, pre_energy: Dict[str, float],
-                          report: PruningReport) -> float:
-        """Backward-compatible alias of :func:`weight_energy_retention`."""
-        return weight_energy_retention(model, pre_energy, report)

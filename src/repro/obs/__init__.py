@@ -4,10 +4,10 @@ Three planes, one package (see docs/observability.md):
 
 * **Metrics** (:mod:`repro.obs.registry`) — process-global, thread-safe
   :class:`Counter` / :class:`Gauge` / :class:`Histogram` primitives with label
-  sets, plus a *collector* hook that lets stateful objects (``ServingMetrics``,
-  ``ClusterMetrics``, workspace arenas, the ConvPlan layout cache) publish
-  into one flat :meth:`MetricsRegistry.snapshot` without giving up their own
-  locks.  Exporters for Prometheus text format and JSON lines.
+  sets, plus a *collector* hook through which the serving ledgers' private
+  labelled registries, workspace arenas and the ConvPlan layout cache publish
+  into one flat :meth:`MetricsRegistry.snapshot`.  Exporters for Prometheus
+  text format and JSON lines.
 * **Tracing** (:mod:`repro.obs.tracing`) — a ``trace_id`` + span model minted
   at ``InferenceService.submit``, carried across threads on the request object
   and across the Router→worker pipe in the ``ArrayChannel`` JSON header.

@@ -2,21 +2,23 @@
 
 Design notes
 ------------
-Instruments are cheap, lock-per-instrument, and label-aware: ``inc``/``set``/
-``observe`` take keyword labels and route to a per-label-set series.  The
-:class:`MetricsRegistry` owns instruments by name and additionally accepts
-**collectors** — zero-argument callables returning ready-made samples — so
-existing stateful metric holders (``ServingMetrics``, ``ClusterMetrics``, the
-arena and layout caches) publish into the registry without re-homing their
-state or their locks.  Bound-method collectors are held through
-``weakref.WeakMethod``: when the owning service/router dies, its series simply
-drop out of the next snapshot, which keeps short-lived test instances from
-polluting the process view.
+Instruments are label-aware: ``inc``/``set``/``observe`` take keyword labels
+and route to a per-label-set series; ``items()`` reads every series back.  A
+:class:`MetricsRegistry` owns instruments by name.  The serving ledgers
+(``ServingMetrics``, ``GatewayMetrics``, ``ClusterMetrics``) each own a
+private registry built with their owner label, whose instruments share its
+one re-entrant lock, and publish it into the process registry as a
+**collector** -- a zero-argument callable returning ready-made samples, as
+the arena and layout caches also are.  Bound-method collectors are held
+through ``weakref.WeakMethod``: when the owning service/router dies, its
+series simply drop out of the next snapshot, which keeps short-lived test
+instances from polluting the process view.
 
 Histograms ride on the bounded reservoir in
 :class:`repro.utils.profiling.LatencyStats` and export in Prometheus
-*summary* style (``{quantile="0.5"}`` series plus exact ``_sum``/``_count``)
-rather than fixed buckets — the repo's latency tables are quantile tables.
+*summary* style (``{quantile="0.5"}`` series plus exact ``_sum``/``_count``,
+rendered by :func:`summary_samples`) rather than fixed buckets -- the repo's
+latency tables are quantile tables.
 
 Fork safety: cluster workers are forked from the router process.  The child
 must not inherit the parent's counters (they describe the parent's traffic),
@@ -86,41 +88,62 @@ class _Instrument:
 
     _guarded_by_ = {"_series": "_lock"}
 
-    def __init__(self, name: str, help: str = "", labelnames: Sequence[str] = ()) -> None:
+    def __init__(
+        self,
+        name: str,
+        help: str = "",
+        labelnames: Sequence[str] = (),
+        *,
+        lock: Optional[threading.RLock] = None,
+        labels: Optional[Dict[str, str]] = None,
+    ) -> None:
         _validate_metric_name(name)
         self.name = name
         self.help = help
         self.labelnames = tuple(labelnames)
-        self._lock = threading.Lock()
+        #: The owning registry's shared lock, or a private one when standalone.
+        self._lock = lock if lock is not None else threading.RLock()
+        #: Owner labels (e.g. ``service=...``) stamped on every exported sample.
+        self._owner_labels = dict(labels or {})
         self._series: Dict[LabelValues, object] = {}
 
     def _label_key(self, labels: Dict[str, str]) -> LabelValues:
-        if set(labels) != set(self.labelnames):
-            raise ValueError(
-                f"metric {self.name!r} takes labels {self.labelnames}, got "
-                f"{tuple(sorted(labels))}"
-            )
-        return tuple(str(labels[name]) for name in self.labelnames)
+        try:
+            if len(labels) == len(self.labelnames):
+                return tuple([str(labels[name]) for name in self.labelnames])
+        except KeyError:
+            pass
+        raise ValueError(
+            f"metric {self.name!r} takes labels {self.labelnames}, got "
+            f"{tuple(sorted(labels))}"
+        )
 
     def _label_dict(self, key: LabelValues) -> Dict[str, str]:
-        return dict(zip(self.labelnames, key))
+        labels = dict(self._owner_labels)
+        labels.update(zip(self.labelnames, key))
+        return labels
+
+    def items(self) -> List[Tuple[LabelValues, object]]:
+        """Every ``(label values, value)`` series; read histogram values under the lock."""
+        with self._lock:
+            return list(self._series.items())
 
     def clear(self) -> None:
         with self._lock:
             self._series.clear()
 
-    def samples(self) -> List[Sample]:  # pragma: no cover - overridden
-        raise NotImplementedError
+    def samples(self) -> List[Sample]:
+        with self._lock:
+            return [
+                Sample(self.name, self._label_dict(key), float(value), self.kind)
+                for key, value in self._series.items()
+            ]
 
 
-class Counter(_Instrument):
-    """Monotonically increasing count (requests, errors, cache hits)."""
+class _Scalar(_Instrument):
+    """A float per series: the shared half of :class:`Counter` and :class:`Gauge`."""
 
-    kind = "counter"
-
-    def inc(self, amount: float = 1.0, **labels: str) -> None:
-        if amount < 0:
-            raise ValueError(f"counter {self.name!r} cannot decrease (amount={amount})")
+    def _add(self, amount: float, labels: Dict[str, str]) -> None:
         key = self._label_key(labels)
         with self._lock:
             self._series[key] = self._series.get(key, 0.0) + amount
@@ -130,16 +153,22 @@ class Counter(_Instrument):
         with self._lock:
             return float(self._series.get(key, 0.0))
 
-    def samples(self) -> List[Sample]:
-        with self._lock:
-            items = list(self._series.items())
-        return [
-            Sample(self.name, self._label_dict(key), float(value), self.kind)
-            for key, value in items
-        ]
+
+class Counter(_Scalar):
+    """Monotonically increasing count (requests, errors, cache hits).
+
+    ``inc(0, ...)`` exports a series at zero before its first event.
+    """
+
+    kind = "counter"
+
+    def inc(self, amount: float = 1.0, **labels: str) -> None:
+        if amount < 0:
+            raise ValueError(f"counter {self.name!r} cannot decrease (amount={amount})")
+        self._add(amount, labels)
 
 
-class Gauge(_Instrument):
+class Gauge(_Scalar):
     """Point-in-time value (queue depth, worker count, arena bytes)."""
 
     kind = "gauge"
@@ -150,25 +179,10 @@ class Gauge(_Instrument):
             self._series[key] = float(value)
 
     def inc(self, amount: float = 1.0, **labels: str) -> None:
-        key = self._label_key(labels)
-        with self._lock:
-            self._series[key] = self._series.get(key, 0.0) + amount
+        self._add(amount, labels)
 
     def dec(self, amount: float = 1.0, **labels: str) -> None:
-        self.inc(-amount, **labels)
-
-    def value(self, **labels: str) -> float:
-        key = self._label_key(labels)
-        with self._lock:
-            return float(self._series.get(key, 0.0))
-
-    def samples(self) -> List[Sample]:
-        with self._lock:
-            items = list(self._series.items())
-        return [
-            Sample(self.name, self._label_dict(key), float(value), self.kind)
-            for key, value in items
-        ]
+        self._add(-amount, labels)
 
 
 class Histogram(_Instrument):
@@ -186,41 +200,33 @@ class Histogram(_Instrument):
         help: str = "",
         labelnames: Sequence[str] = (),
         capacity: int = LatencyStats.DEFAULT_CAPACITY,
+        **owner,
     ) -> None:
-        super().__init__(name, help, labelnames)
+        super().__init__(name, help, labelnames, **owner)
         self._capacity = capacity
 
     def observe(self, value: float, **labels: str) -> None:
-        key = self._label_key(labels)
         with self._lock:
-            stats = self._series.get(key)
-            if stats is None:
-                stats = self._series[key] = LatencyStats(capacity=self._capacity)
-            stats.add(value)
+            self._reservoir(self._label_key(labels)).add(value)
 
-    def stats(self, **labels: str) -> Optional[LatencyStats]:
-        key = self._label_key(labels)
+    def stats(self, **labels: str) -> LatencyStats:
+        """The series' reservoir, created empty (and exported at zero) if new."""
         with self._lock:
-            return self._series.get(key)
+            return self._reservoir(self._label_key(labels))
+
+    def _reservoir(self, key: LabelValues) -> LatencyStats:  # reprolint: holds=_lock
+        stats = self._series.get(key)
+        if stats is None:
+            stats = self._series[key] = LatencyStats(capacity=self._capacity)
+        return stats
 
     def samples(self) -> List[Sample]:
         with self._lock:
-            items = list(self._series.items())
-        out: List[Sample] = []
-        for key, stats in items:
-            labels = self._label_dict(key)
-            for text, q in _QUANTILES:
-                out.append(
-                    Sample(
-                        self.name,
-                        dict(labels, quantile=text),
-                        stats.quantile_seconds(q),
-                        self.kind,
-                    )
-                )
-            out.append(Sample(self.name + "_sum", labels, stats.total_seconds, self.kind))
-            out.append(Sample(self.name + "_count", labels, float(stats.count), self.kind))
-        return out
+            return [
+                sample
+                for key, stats in self._series.items()
+                for sample in summary_samples(self.name, self._label_dict(key), stats)
+            ]
 
 
 CollectorFn = Callable[[], Iterable[Sample]]
@@ -231,8 +237,8 @@ def summary_samples(
 ) -> List[Sample]:
     """Render a :class:`LatencyStats` as Prometheus-summary-style samples.
 
-    What collectors use to publish an existing latency reservoir without
-    re-homing it into a registry :class:`Histogram`.
+    The one renderer behind :meth:`Histogram.samples` and the series a ledger
+    derives by merging reservoirs (the cluster-wide latency summary).
     """
     out = [
         Sample(name, dict(labels, quantile=text), stats.quantile_seconds(q), "histogram")
@@ -244,12 +250,17 @@ def summary_samples(
 
 
 class MetricsRegistry:
-    """Owns instruments and collectors; renders the one flat process view."""
+    """Owns instruments and collectors; renders the one flat process view.
 
-    _guarded_by_ = {"_instruments": "_lock", "_collectors": "_lock"}
+    ``labels`` (owner labels) are added to every sample of its instruments.
+    """
 
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
+    _guarded_by_ = {"_instruments": "lock", "_collectors": "lock"}
+
+    def __init__(self, labels: Optional[Dict[str, str]] = None) -> None:
+        #: Shared by every instrument made here: holding it reads them consistently.
+        self.lock = threading.RLock()
+        self._labels = dict(labels or {})
         self._instruments: Dict[str, _Instrument] = {}
         # name -> weakref.WeakMethod | plain callable (module-level functions).
         self._collectors: Dict[str, object] = {}
@@ -268,7 +279,7 @@ class MetricsRegistry:
         return self._get_or_create(Histogram, name, help, labelnames)
 
     def _get_or_create(self, cls, name: str, help: str, labelnames: Sequence[str]):
-        with self._lock:
+        with self.lock:
             existing = self._instruments.get(name)
             if existing is not None:
                 if not isinstance(existing, cls):
@@ -282,7 +293,7 @@ class MetricsRegistry:
                         f"{existing.labelnames}, requested {tuple(labelnames)}"
                     )
                 return existing
-            instrument = cls(name, help, labelnames)
+            instrument = cls(name, help, labelnames, lock=self.lock, labels=self._labels)
             self._instruments[name] = instrument
             return instrument
 
@@ -300,7 +311,7 @@ class MetricsRegistry:
             ref = weakref.WeakMethod(fn)  # type: ignore[arg-type]
         else:
             ref = fn
-        with self._lock:
+        with self.lock:
             final = name
             serial = 1
             while final in self._collectors:
@@ -310,14 +321,14 @@ class MetricsRegistry:
         return final
 
     def unregister_collector(self, name: str) -> None:
-        with self._lock:
+        with self.lock:
             self._collectors.pop(name, None)
 
     # -- rendering -----------------------------------------------------------
 
     def collect(self) -> List[Sample]:
         """All live samples: instruments first, then collectors."""
-        with self._lock:
+        with self.lock:
             instruments = list(self._instruments.values())
             collectors = list(self._collectors.items())
         out: List[Sample] = []
@@ -334,7 +345,7 @@ class MetricsRegistry:
             except Exception:  # collector bugs must not break the exporter
                 continue
         if dead:
-            with self._lock:
+            with self.lock:
                 for name in dead:
                     self._collectors.pop(name, None)
         return out
@@ -346,7 +357,7 @@ class MetricsRegistry:
     def to_prometheus(self) -> str:
         """Prometheus text exposition format (text/plain; version 0.0.4)."""
         samples = self.collect()
-        with self._lock:
+        with self.lock:
             helps = {
                 name: (inst.help, inst.kind) for name, inst in self._instruments.items()
             }
@@ -384,7 +395,7 @@ class MetricsRegistry:
 
     def reset(self) -> None:
         """Drop every instrument series and collector (tests, forked children)."""
-        with self._lock:
+        with self.lock:
             for instrument in self._instruments.values():
                 instrument.clear()
             self._collectors.clear()

@@ -67,21 +67,13 @@ from repro.serving.api import (
     priority_index,
     priority_name,
 )
-from repro.serving.batcher import (
-    BatchPolicy,
-    DynamicBatcher,
-    InferenceFuture,
-    QueueFullError,
-    ServiceClosedError,
-)
+from repro.serving.batcher import BatchPolicy, DynamicBatcher, InferenceFuture
 from repro.serving.chaos import ChaosDrillReport, FaultInjector, run_chaos_drill
 from repro.serving.cluster import (
     ArtifactSwapError,
     ClusterMetrics,
-    RemoteInferenceError,
     Router,
     WorkerProcess,
-    WorkerUnavailableError,
     available_routing_policies,
 )
 from repro.serving.elastic import Autoscaler
@@ -90,7 +82,11 @@ from repro.serving.errors import (
     BadRequestError,
     DeadlineExceededError,
     GatewayDisconnectedError,
+    QueueFullError,
+    RemoteInferenceError,
+    ServiceClosedError,
     ServingError,
+    WorkerUnavailableError,
 )
 from repro.serving.gateway import GatewayClient, GatewayServer
 from repro.serving.loadgen import (

@@ -48,14 +48,13 @@ from typing import Any, Callable, List, Optional, Tuple
 
 import numpy as np
 
-from repro.engine.runner import RunnerStats, _split_outputs
+from repro.engine.runner import _split_outputs
 from repro.obs.tracing import TraceContext
 from repro.serving.errors import (
     AdmissionRejectedError,
     DeadlineExceededError,
     QueueFullError,
     ServiceClosedError,
-    WorkerUnavailableError,
 )
 from repro.serving.metrics import ServingMetrics
 from repro.utils.logging import get_logger
@@ -64,17 +63,10 @@ __all__ = [
     "BatchPolicy",
     "DynamicBatcher",
     "InferenceFuture",
-    "QueueFullError",
-    "ServiceClosedError",
-    "WorkerUnavailableError",
     "submit_stack",
 ]
 
 logger = get_logger("serving.batcher")
-
-# QueueFullError / ServiceClosedError / WorkerUnavailableError were defined
-# here before repro.serving.errors unified the hierarchy; the imports above
-# double as deprecation aliases so historical import paths keep working.
 
 
 @dataclass
@@ -238,7 +230,8 @@ class DynamicBatcher:
     policy:
         The :class:`BatchPolicy`; defaults are sensible for a small CPU model.
     metrics:
-        Optional shared :class:`ServingMetrics` to record batches/completions.
+        The :class:`ServingMetrics` to record into (a private, unregistered
+        one if None); batches are recorded under ``model=name``.
     postprocess:
         Optional callable applied to each request's sliced output *outside* the
         queue lock (e.g. detection decoding + NMS); its return value becomes
@@ -270,11 +263,11 @@ class DynamicBatcher:
     ) -> None:
         self._run_batch = run_batch
         self.policy = policy or BatchPolicy()
-        self.metrics = metrics
+        self.metrics = (metrics if metrics is not None
+                        else ServingMetrics(name=name, register=False))
         self._postprocess = postprocess
         self._engine_source = engine_source
         self.name = name
-        self.stats = RunnerStats()
 
         # Priority heap of (rank, seq, request): rank orders by class, seq
         # keeps FIFO order within a class (and makes the tuple comparison
@@ -301,13 +294,14 @@ class DynamicBatcher:
 
         Queue depth in batches × the mean executed-batch duration so far; the
         admission-time deadline feasibility check uses it.  Returns 0.0 until
-        the first batch completes (no estimate beats a wrong estimate).
+        the first batch completes (no estimate beats a wrong estimate), and
+        again after ``metrics.reset()`` until the next one does.
         """
         with self._lock:
             return self._expected_wait_locked()
 
     def _expected_wait_locked(self) -> float:  # reprolint: holds=_lock
-        mean = self.stats.mean_batch_seconds
+        mean = self.metrics.mean_batch_seconds(self.name)
         if mean <= 0.0:
             return 0.0
         return (len(self._queue) / self.policy.max_batch_size) * mean
@@ -350,8 +344,7 @@ class DynamicBatcher:
         request_deadline: Optional[float] = None
         if deadline_ms is not None:
             if deadline_ms <= 0:
-                if self.metrics is not None:
-                    self.metrics.record_rejection(reason="deadline", priority=priority)
+                self.metrics.record_rejection(reason="deadline", priority=priority)
                 raise DeadlineExceededError(
                     f"deadline_ms={deadline_ms} already expired at admission")
             request_deadline = time.perf_counter() + deadline_ms / 1e3
@@ -369,9 +362,7 @@ class DynamicBatcher:
             if request_deadline is not None:
                 expected = self._expected_wait_locked()
                 if expected > deadline_ms / 1e3:
-                    if self.metrics is not None:
-                        self.metrics.record_rejection(reason="deadline",
-                                                      priority=priority)
+                    self.metrics.record_rejection(reason="deadline", priority=priority)
                     raise DeadlineExceededError(
                         f"expected queue wait {expected * 1e3:.1f}ms exceeds the "
                         f"request deadline {deadline_ms:.1f}ms")
@@ -380,9 +371,7 @@ class DynamicBatcher:
                 if self._preempt_locked(rank):
                     break           # a lower-class victim made room
                 if not block:
-                    if self.metrics is not None:
-                        self.metrics.record_rejection(reason="queue_full",
-                                                      priority=priority)
+                    self.metrics.record_rejection(reason="queue_full", priority=priority)
                     raise QueueFullError(
                         f"{self.name} queue is full "
                         f"({self.policy.queue_capacity} requests waiting)")
@@ -403,8 +392,7 @@ class DynamicBatcher:
             heapq.heappush(self._queue, (request.priority, request.seq, request))
             depth = len(self._queue)
             self._work_available.notify()
-        if self.metrics is not None:
-            self.metrics.record_admission(depth)
+        self.metrics.record_admission(depth)
         return request.future
 
     def _preempt_locked(self, rank: int) -> bool:  # reprolint: holds=_lock
@@ -426,8 +414,7 @@ class DynamicBatcher:
         self._queue.remove(victim_entry)
         heapq.heapify(self._queue)
         victim = victim_entry[2]
-        if self.metrics is not None:
-            self.metrics.record_rejection(reason="preempted", priority=victim.cls)
+        self.metrics.record_rejection(reason="preempted", priority=victim.cls)
         victim.future._fail(AdmissionRejectedError(
             f"{self.name}: preempted from a full queue by a higher-priority "
             f"admission (class {victim.cls!r})"))
@@ -439,8 +426,7 @@ class DynamicBatcher:
     # ------------------------------------------------------------------ worker
     def _drop_expired(self, request: _Request, now_wall: float) -> None:
         """Fail an expired request (never executed) and close its trace."""
-        if self.metrics is not None:
-            self.metrics.record_expiry(priority=request.cls)
+        self.metrics.record_expiry(priority=request.cls)
         waited_ms = (time.perf_counter() - request.enqueued_at) * 1e3
         request.future._fail(DeadlineExceededError(
             f"{self.name}: deadline expired after {waited_ms:.1f}ms in queue "
@@ -564,9 +550,8 @@ class DynamicBatcher:
             logger.warning("batch of %d failed: %s", len(batch), error)
             failed_wall = time.time()
             for request in batch:
-                if self.metrics is not None:
-                    self.metrics.record_completion(
-                        time.perf_counter() - request.enqueued_at, failed=True)
+                self.metrics.record_completion(
+                    time.perf_counter() - request.enqueued_at, failed=True)
                 request.future._fail(error)
                 trace = request.trace
                 if trace is not None:
@@ -576,9 +561,7 @@ class DynamicBatcher:
             return
         elapsed = time.perf_counter() - started
         exec_done_wall = time.time() if traced else 0.0
-        self.stats.record(len(batch), elapsed)
-        if self.metrics is not None:
-            self.metrics.record_batch(len(batch), elapsed)
+        self.metrics.record_batch(len(batch), elapsed, model=self.name)
         span_args: dict = {}
         if traced:
             span_args["batch"] = len(batch)
@@ -601,9 +584,8 @@ class DynamicBatcher:
             if trace is not None:
                 trace.record("postprocess", post_started_wall)
                 trace.finish()
-            if self.metrics is not None:
-                self.metrics.record_completion(
-                    time.perf_counter() - request.enqueued_at, failed=failed)
+            self.metrics.record_completion(
+                time.perf_counter() - request.enqueued_at, failed=failed)
 
     def _traced_engine(self):
         """The CompiledModel behind ``run_batch``, for traced batches only."""

@@ -52,11 +52,8 @@ from repro.serving.cluster.router import (
     available_routing_policies,
     build_routing_policy,
 )
-from repro.serving.cluster.worker import (
-    RemoteInferenceError,
-    WorkerProcess,
-    WorkerUnavailableError,
-)
+from repro.serving.cluster.worker import WorkerProcess
+from repro.serving.errors import RemoteInferenceError, WorkerUnavailableError
 
 __all__ = [
     "ROUTING_POLICIES",

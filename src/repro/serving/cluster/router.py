@@ -41,23 +41,16 @@ from repro.engine.runner import _concat_outputs
 from repro.obs.tracing import TraceContext, mint_trace
 from repro.pipeline.spec import ROUTING_POLICY_NAMES, ChaosSpec
 from repro.serving.api import DEFAULT_PRIORITY, priority_index
-from repro.serving.batcher import (
-    BatchPolicy,
-    InferenceFuture,
-    ServiceClosedError,
-    submit_stack,
-)
+from repro.serving.batcher import BatchPolicy, InferenceFuture, submit_stack
 from repro.serving.errors import (
     AdmissionRejectedError,
     DeadlineExceededError,
+    ServiceClosedError,
     ServingError,
-)
-from repro.serving.cluster.metrics import ClusterMetrics
-from repro.serving.cluster.worker import (
-    DEFAULT_HEARTBEAT_INTERVAL,
-    WorkerProcess,
     WorkerUnavailableError,
 )
+from repro.serving.cluster.metrics import ClusterMetrics
+from repro.serving.cluster.worker import DEFAULT_HEARTBEAT_INTERVAL, WorkerProcess
 from repro.utils.logging import get_logger
 
 logger = get_logger("serving.cluster.router")

@@ -38,12 +38,7 @@ from typing import Any, Deque, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.serving.batcher import (
-    BatchPolicy,
-    InferenceFuture,
-    QueueFullError,
-    WorkerUnavailableError,
-)
+from repro.serving.batcher import BatchPolicy, InferenceFuture
 from repro.obs.tracing import TraceContext
 from repro.serving.cluster.channel import (
     ArrayChannel,
@@ -51,10 +46,13 @@ from repro.serving.cluster.channel import (
     flatten_arrays,
     unflatten_arrays,
 )
+from repro.serving.cluster.metrics import ClusterMetrics
 from repro.serving.errors import (
     DeadlineExceededError,
+    QueueFullError,
     RemoteInferenceError,
     WIRE_ERRORS,
+    WorkerUnavailableError,
     error_code,
     error_from_wire,
 )
@@ -67,10 +65,6 @@ START_METHOD_ENV = "REPRO_CLUSTER_START_METHOD"
 
 #: Seconds between child heartbeat frames.
 DEFAULT_HEARTBEAT_INTERVAL = 0.25
-
-# RemoteInferenceError used to be defined here; it now lives in
-# repro.serving.errors (imported above) so its wire code is part of the
-# unified hierarchy — the import doubles as the deprecation alias.
 
 
 def _mp_context(start_method: Optional[str]):
@@ -302,7 +296,8 @@ class WorkerProcess:
         Residency bound of the child service's :class:`ModelPool`
         (``ServeSpec.pool_capacity``).
     metrics:
-        Optional shared :class:`~repro.serving.cluster.metrics.ClusterMetrics`.
+        The :class:`~repro.serving.cluster.metrics.ClusterMetrics` to record
+        into (a private, unregistered one if None).
     start_method:
         ``multiprocessing`` start method (default: the platform default, i.e.
         ``fork`` on Linux; override with ``REPRO_CLUSTER_START_METHOD``).
@@ -325,7 +320,7 @@ class WorkerProcess:
         worker_id: str,
         artifact_path: str,
         policy: Optional[BatchPolicy] = None,
-        metrics: Optional[Any] = None,
+        metrics: Optional[ClusterMetrics] = None,
         warmup: bool = True,
         heartbeat_interval: float = DEFAULT_HEARTBEAT_INTERVAL,
         start_method: Optional[str] = None,
@@ -335,7 +330,7 @@ class WorkerProcess:
         self.worker_id = worker_id
         self.artifact_path = artifact_path
         self.policy = policy or BatchPolicy()
-        self.metrics = metrics
+        self.metrics = metrics if metrics is not None else ClusterMetrics(register=False)
         self.warmup = warmup
         self.heartbeat_interval = heartbeat_interval
         self.start_method = start_method
@@ -518,7 +513,7 @@ class WorkerProcess:
         # Re-dispatched requests (future is not None) were already counted at
         # their original admission; counting again would desync submitted from
         # completed + failed.
-        if self.metrics is not None and future is None:
+        if future is None:
             self.metrics.record_submit(self.worker_id)
         meta: Dict[str, Any] = {"id": request_id, "model": model,
                                 "priority": priority}
@@ -583,8 +578,7 @@ class WorkerProcess:
                 result = unflatten_arrays(message.meta["tree"], message.arrays)
                 latency = time.perf_counter() - pending.submitted_at
                 pending.future._resolve(result)
-                if self.metrics is not None:
-                    self.metrics.record_completion(self.worker_id, latency)
+                self.metrics.record_completion(self.worker_id, latency)
                 self._seal_trace(pending, message.meta)
             elif message.kind == "error":
                 pending = self._pop(int(message.meta["id"]))
@@ -604,10 +598,9 @@ class WorkerProcess:
                 else:
                     error = RemoteInferenceError(detail)
                 pending.future._fail(error)
-                if self.metrics is not None:
-                    self.metrics.record_completion(
-                        self.worker_id, time.perf_counter() - pending.submitted_at, failed=True
-                    )
+                self.metrics.record_completion(
+                    self.worker_id, time.perf_counter() - pending.submitted_at, failed=True
+                )
                 self._seal_trace(pending, message.meta)
             elif message.kind == "heartbeat":
                 self.last_heartbeat = time.perf_counter()

@@ -13,9 +13,8 @@ Every class here carries a ``code`` — a short stable string that is part of
 the wire protocol (``docs/gateway.md`` documents the full table).  Codes are
 append-only: renaming or reusing one breaks old clients.
 
-The old import paths keep working (``from repro.serving.batcher import
-QueueFullError`` re-exports from here), so this module is the canonical home
-and the historical locations are deprecation aliases.
+This module is the one home: import the classes from here (or from
+:mod:`repro.serving`), not from the modules that raise them.
 
 Two hops speak these codes:
 

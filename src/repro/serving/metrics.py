@@ -8,29 +8,56 @@ admissions and rejections.  :meth:`ServingMetrics.report` exports everything as
 one nested plain dict, which is what the ``repro serve`` CLI prints and the
 serving benchmark writes to ``BENCH_serving.json``.
 
-Every aggregate is memory-bounded: latency and batch-duration distributions
-ride the bounded reservoir in :class:`repro.utils.profiling.LatencyStats`,
-batch sizes fold into an exact histogram (at most ``max_batch_size`` distinct
-keys) and queue depths into running sum/max — a service under sustained load
-holds O(reservoir) state, not O(requests).
+Both ledgers are thin views over a private
+:class:`~repro.obs.registry.MetricsRegistry` labelled with their owner
+(``service=`` / ``gateway=``), so ``report()``, the Prometheus text and
+``repro top`` read the same counters, gauges and histograms; the registry's
+one re-entrant lock keeps a ``report()`` consistent.  Only the throughput,
+``batches_total`` and ``queue_depth_max`` are derived at export time.
 
-Each instance also registers itself as a **collector** on the process obs
-registry (:mod:`repro.obs.registry`), publishing request counters, queue depth
-and the latency summary under its ``service`` label; the reference is weak, so
-a dead service's series simply drop out of the next ``registry.snapshot()``.
+Every aggregate is memory-bounded: distributions ride the bounded reservoir in
+:class:`repro.utils.profiling.LatencyStats`, one per label set (batch
+durations per ``{model, size}``) -- a service under sustained load holds
+O(reservoir) state, not O(requests).
 
-All counters sit behind one lock — recording is a few increments, so
-contention is negligible next to a model forward pass.
+Each instance publishes its registry as a weak **collector** on the process
+obs registry (:mod:`repro.obs.registry`), so a dead service's series simply
+drop out of the next ``registry.snapshot()``.
 """
 
 from __future__ import annotations
 
-import threading
 import time
 from typing import Dict, List, Optional, Tuple
 
-from repro.obs.registry import Sample, get_registry, summary_samples
+from repro.obs.registry import MetricsRegistry, Sample, get_registry
 from repro.utils.profiling import LatencyStats
+
+#: ``repro_serving_requests_total`` outcomes, exported from construction on
+#: (in ``report()["requests"]`` order).
+_OUTCOMES = ("admitted", "completed", "failed", "rejected")
+
+
+def per_second(count: float, start: Optional[float], end: Optional[float]) -> float:
+    """``count`` per second of the ``start``..``end`` span (0.0 without one)."""
+    if start is None or end is None or not count or end <= start:
+        return 0.0
+    return count / (end - start)
+
+
+def _by_class(counter, outcome: Optional[str] = None) -> Dict[str, int]:
+    """``{class: count}`` of a counter labelled ``(class,)`` or ``(outcome, class)``."""
+    out: Dict[str, int] = {}
+    for key, value in sorted(counter.items(), key=lambda item: item[0][-1]):
+        if outcome is None or key[0] == outcome:
+            out[key[-1]] = int(value)
+    return out
+
+
+def _by_reason(counter) -> Dict[str, int]:
+    """``{"reason/class": count}`` of a counter labelled ``(reason, class)``."""
+    return {f"{reason}/{cls}": int(value)
+            for (reason, cls), value in sorted(counter.items())}
 
 
 class ServingMetrics:
@@ -38,43 +65,43 @@ class ServingMetrics:
 
     Latency is measured per request from admission (enqueue) to completion
     (future resolved), i.e. it includes queueing delay — the number a client
-    actually observes, not just model time.
+    actually observes, not just model time.  ``completed`` counts successful
+    requests only, as in the gateway and cluster ledgers: after a drain,
+    ``admitted == completed + failed + expired + preempted``.
     """
 
     _guarded_by_ = {
+        "_registry": "_lock",
+        "_requests": "_lock",
+        "_rejects": "_lock",
+        "_expiries": "_lock",
+        "_queue_depth": "_lock",
+        "_admission_depth": "_lock",
         "_latency": "_lock",
-        "_batch_stats": "_lock",
-        "_batch_hist": "_lock",
-        "_admitted": "_lock",
-        "_rejected": "_lock",
-        "_rejected_by": "_lock",
-        "_expired": "_lock",
-        "_completed": "_lock",
-        "_failed": "_lock",
+        "_batch_seconds": "_lock",
+        "_first_admission": "_lock",
+        "_last_completion": "_lock",
     }
 
     def __init__(self, name: str = "service", register: bool = True) -> None:
-        self._lock = threading.Lock()
         self.name = name
-        self._latency = LatencyStats()
-        self._batch_stats = LatencyStats()
-        self._batch_hist: Dict[int, int] = {}
-        self._batch_size_sum = 0
-        self._batch_size_max = 0
-        self._queue_sum = 0
-        self._queue_max = 0
-        self._queue_last = 0
-        self._admitted = 0
-        self._rejected = 0
-        #: (reason, priority class) -> count; reasons: queue_full / deadline /
-        #: preempted / admission (gateway rate limit or in-flight bound).
-        self._rejected_by: Dict[Tuple[str, str], int] = {}
-        #: priority class -> requests dropped after admission (deadline expiry).
-        self._expired: Dict[str, int] = {}
-        self._completed = 0
-        self._failed = 0
+        self._registry = registry = MetricsRegistry(labels={"service": name})
+        self._lock = registry.lock
+        self._requests = registry.counter(
+            "repro_serving_requests_total", labelnames=("outcome",))
+        #: reasons: queue_full / deadline / preempted / admission.
+        self._rejects = registry.counter(
+            "repro_serving_rejects_total", labelnames=("reason", "class"))
+        self._expiries = registry.counter(
+            "repro_serving_deadline_expiries_total", labelnames=("class",))
+        self._queue_depth = registry.gauge("repro_serving_queue_depth")
+        self._admission_depth = registry.histogram("repro_serving_admission_queue_depth")
+        self._latency = registry.histogram("repro_serving_latency_seconds")
+        self._batch_seconds = registry.histogram(
+            "repro_serving_batch_seconds", labelnames=("model", "size"))
         self._first_admission: Optional[float] = None
         self._last_completion: Optional[float] = None
+        self.reset()
         if register:
             get_registry().register_collector(
                 f"serving.{name}", self.collect_metrics)
@@ -84,122 +111,126 @@ class ServingMetrics:
         """One request accepted into the queue (``queue_depth`` after enqueue)."""
         now = time.perf_counter()
         with self._lock:
-            self._admitted += 1
-            depth = int(queue_depth)
-            self._queue_sum += depth
-            self._queue_last = depth
-            if depth > self._queue_max:
-                self._queue_max = depth
+            self._requests.inc(outcome="admitted")
+            self._queue_depth.set(queue_depth)
+            self._admission_depth.observe(queue_depth)
             if self._first_admission is None:
                 self._first_admission = now
 
     def record_rejection(self, reason: str = "queue_full",
                          priority: str = "normal") -> None:
         """One request turned away at admission, keyed by reason and class."""
-        key = (reason, priority)
         with self._lock:
-            self._rejected += 1
-            self._rejected_by[key] = self._rejected_by.get(key, 0) + 1
+            self._requests.inc(outcome="rejected")
+            self._rejects.inc(reason=reason, **{"class": priority})
 
     def record_expiry(self, priority: str = "normal") -> None:
         """One queued request dropped because its deadline expired (never run)."""
-        with self._lock:
-            self._expired[priority] = self._expired.get(priority, 0) + 1
+        self._expiries.inc(**{"class": priority})
 
-    def record_batch(self, size: int, seconds: float) -> None:
-        """One executed micro-batch of ``size`` requests taking ``seconds``."""
-        size = int(size)
-        with self._lock:
-            self._batch_stats.add(float(seconds))
-            self._batch_hist[size] = self._batch_hist.get(size, 0) + 1
-            self._batch_size_sum += size
-            if size > self._batch_size_max:
-                self._batch_size_max = size
+    def record_batch(self, size: int, seconds: float, model: str = "default") -> None:
+        """One executed micro-batch of ``size`` requests of ``model`` taking ``seconds``."""
+        self._batch_seconds.observe(seconds, model=model, size=int(size))
 
     def record_completion(self, latency_seconds: float, failed: bool = False) -> None:
         """One request finished (its future resolved), successfully or not."""
         now = time.perf_counter()
         with self._lock:
-            self._completed += 1
             if failed:
-                self._failed += 1
+                self._requests.inc(outcome="failed")
             else:
-                self._latency.add(latency_seconds)
+                self._requests.inc(outcome="completed")
+                self._latency.observe(latency_seconds)
             self._last_completion = now
 
     def reset(self) -> None:
-        """Zero every ledger (e.g. after a verification pass, before load)."""
+        """Zero every ledger (e.g. after a verification pass, before load).
+
+        This also zeroes the batch durations a batcher's expected-wait
+        estimate is derived from: until the next batch executes, deadline
+        admission sees 0.0, as at start-up.
+        """
         with self._lock:
-            self._latency = LatencyStats()
-            self._batch_stats = LatencyStats()
-            self._batch_hist = {}
-            self._batch_size_sum = 0
-            self._batch_size_max = 0
-            self._queue_sum = 0
-            self._queue_max = 0
-            self._queue_last = 0
-            self._admitted = 0
-            self._rejected = 0
-            self._rejected_by = {}
-            self._expired = {}
-            self._completed = 0
-            self._failed = 0
+            self._registry.reset()
+            for outcome in _OUTCOMES:
+                self._requests.inc(0, outcome=outcome)
+            self._queue_depth.set(0)
+            self._admission_depth.stats()
+            self._latency.stats()
             self._first_admission = None
             self._last_completion = None
 
     # ------------------------------------------------------------------ reporting
     @property
     def completed(self) -> int:
-        with self._lock:
-            return self._completed
+        return int(self._requests.value(outcome="completed"))
 
     @property
     def rejected(self) -> int:
-        with self._lock:
-            return self._rejected
+        return int(self._requests.value(outcome="rejected"))
 
     def throughput(self) -> float:
-        """Completed requests per second of wall-clock serving time."""
+        """Successfully completed requests per second of wall-clock serving time."""
         with self._lock:
-            if (self._first_admission is None or self._last_completion is None
-                    or self._completed == 0):
-                return 0.0
-            elapsed = self._last_completion - self._first_admission
-            return self._completed / elapsed if elapsed > 0 else 0.0
+            return per_second(self._requests.value(outcome="completed"),
+                              self._first_admission, self._last_completion)
+
+    def _model_totals(self, model: str) -> Tuple[int, int, float]:
+        """(batches, images, seconds) executed for ``model``."""
+        batches = images = 0
+        seconds = 0.0
+        with self._lock:
+            for (name, size), stats in self._batch_seconds.items():
+                if name == model:
+                    batches += stats.count
+                    images += int(size) * stats.count
+                    seconds += stats.total_seconds
+        return batches, images, seconds
+
+    def mean_batch_seconds(self, model: str) -> float:
+        """Mean executed-batch duration of ``model`` (0.0 before its first batch)."""
+        batches, _, seconds = self._model_totals(model)
+        return seconds / batches if batches else 0.0
+
+    def engine_report(self, model: str) -> Dict[str, float]:
+        """``model``'s executed batches, images, seconds and images per second."""
+        batches, images, seconds = self._model_totals(model)
+        return {
+            "batches": batches,
+            "images": images,
+            "seconds": round(seconds, 4),
+            "images_per_second": round(images / seconds, 2) if seconds > 0 else 0.0,
+        }
 
     def report(self) -> Dict[str, object]:
         """Everything as one nested plain dict (JSON-ready)."""
         throughput = self.throughput()
         with self._lock:
-            batches = self._batch_stats.count
+            requests = {key[0]: int(value) for key, value in self._requests.items()}
+            requests.update(rejected_by=_by_reason(self._rejects),
+                            expired=_by_class(self._expiries))
+            sizes: Dict[int, int] = {}
+            durations = LatencyStats()
+            for (_, size), stats in self._batch_seconds.items():
+                sizes[int(size)] = sizes.get(int(size), 0) + stats.count
+                durations.merge(stats)
+            depth = self._admission_depth.stats()
             return {
-                "requests": {
-                    "admitted": self._admitted,
-                    "completed": self._completed,
-                    "failed": self._failed,
-                    "rejected": self._rejected,
-                    "rejected_by": {
-                        f"{reason}/{cls}": count
-                        for (reason, cls), count in sorted(self._rejected_by.items())
-                    },
-                    "expired": dict(sorted(self._expired.items())),
-                },
+                "requests": requests,
                 "throughput_rps": round(throughput, 2),
-                "latency": self._latency.summary(),
+                "latency": self._latency.stats().summary(),
                 "batches": {
-                    "count": batches,
-                    "mean_size": round(self._batch_size_sum / batches, 2)
-                    if batches else 0.0,
-                    "max_size": self._batch_size_max,
-                    "p50_batch_ms": round(
-                        self._batch_stats.quantile_seconds(50) * 1e3, 3),
-                    "size_histogram": {
-                        str(k): v for k, v in sorted(self._batch_hist.items())},
+                    "count": durations.count,
+                    "mean_size": round(sum(k * n for k, n in sizes.items())
+                                       / durations.count, 2)
+                    if durations.count else 0.0,
+                    "max_size": max(sizes, default=0),
+                    "p50_batch_ms": round(durations.quantile_seconds(50) * 1e3, 3),
+                    "size_histogram": {str(k): n for k, n in sorted(sizes.items())},
                 },
                 "queue": {
-                    "mean_depth": round(self._queue_sum / self._admitted, 2)
-                    if self._admitted else 0.0,
-                    "max_depth": self._queue_max,
+                    "mean_depth": round(depth.mean_seconds, 2),
+                    "max_depth": int(depth.max_seconds),
                 },
             }
 
@@ -219,46 +250,17 @@ class ServingMetrics:
         }
 
     def collect_metrics(self) -> List[Sample]:
-        """Obs-registry collector: this session's series under its label."""
+        """Obs-registry collector: the instruments plus the derived series."""
         labels = {"service": self.name}
+        throughput = self.throughput()
         with self._lock:
-            admitted = self._admitted
-            rejected = self._rejected
-            completed = self._completed
-            failed = self._failed
-            queue_last = self._queue_last
-            queue_max = self._queue_max
-            batches = self._batch_stats.count
-            rejected_by = dict(self._rejected_by)
-            expired = dict(self._expired)
-            latency = LatencyStats()
-            latency.merge(self._latency)   # consistent copy outside the lock
-        samples = [
-            Sample("repro_serving_requests_total", dict(labels, outcome="admitted"),
-                   float(admitted), "counter"),
-            Sample("repro_serving_requests_total", dict(labels, outcome="rejected"),
-                   float(rejected), "counter"),
-            Sample("repro_serving_requests_total", dict(labels, outcome="completed"),
-                   float(completed), "counter"),
-            Sample("repro_serving_requests_total", dict(labels, outcome="failed"),
-                   float(failed), "counter"),
-            Sample("repro_serving_batches_total", labels, float(batches), "counter"),
-            Sample("repro_serving_queue_depth", labels, float(queue_last), "gauge"),
-            Sample("repro_serving_queue_depth_max", labels, float(queue_max), "gauge"),
-            Sample("repro_serving_throughput_rps", labels, self.throughput(), "gauge"),
-        ]
-        for (reason, cls), count in sorted(rejected_by.items()):
-            samples.append(Sample(
-                "repro_serving_rejects_total",
-                dict(labels, reason=reason, **{"class": cls}),
-                float(count), "counter"))
-        for cls, count in sorted(expired.items()):
-            samples.append(Sample(
-                "repro_serving_deadline_expiries_total",
-                dict(labels, **{"class": cls}), float(count), "counter"))
-        samples.extend(
-            summary_samples("repro_serving_latency_seconds", labels, latency))
-        return samples
+            batches = sum(stats.count for _, stats in self._batch_seconds.items())
+            depth_max = self._admission_depth.stats().max_seconds
+            return self._registry.collect() + [
+                Sample("repro_serving_batches_total", labels, float(batches), "counter"),
+                Sample("repro_serving_queue_depth_max", labels, depth_max, "gauge"),
+                Sample("repro_serving_throughput_rps", labels, throughput, "gauge"),
+            ]
 
 
 class GatewayMetrics:
@@ -273,80 +275,74 @@ class GatewayMetrics:
     """
 
     _guarded_by_ = {
-        "_accepted": "_lock",
-        "_rejected": "_lock",
-        "_expired": "_lock",
-        "_completed": "_lock",
-        "_failed": "_lock",
+        "_registry": "_lock",
+        "_requests": "_lock",
+        "_rejects": "_lock",
+        "_expiries": "_lock",
         "_latency": "_lock",
         "_connections": "_lock",
+        "_connections_total": "_lock",
     }
 
     def __init__(self, name: str = "gateway", register: bool = True) -> None:
-        self._lock = threading.Lock()
         self.name = name
-        self._accepted: Dict[str, int] = {}
-        #: (reason, priority class) -> count.
-        self._rejected: Dict[Tuple[str, str], int] = {}
-        self._expired: Dict[str, int] = {}
-        self._completed: Dict[str, int] = {}
-        self._failed: Dict[str, int] = {}
-        #: priority class -> gateway-side latency distribution.
-        self._latency: Dict[str, LatencyStats] = {}
-        self._connections = 0
-        self._connections_total = 0
+        self._registry = registry = MetricsRegistry(labels={"gateway": name})
+        self._lock = registry.lock
+        #: outcomes: accepted / completed / failed.
+        self._requests = registry.counter(
+            "repro_gateway_requests_total", labelnames=("outcome", "class"))
+        self._rejects = registry.counter(
+            "repro_gateway_rejects_total", labelnames=("reason", "class"))
+        self._expiries = registry.counter(
+            "repro_gateway_deadline_expiries_total", labelnames=("class",))
+        self._latency = registry.histogram(
+            "repro_gateway_latency_seconds", labelnames=("class",))
+        self._connections = registry.gauge("repro_gateway_connections")
+        self._connections_total = registry.counter("repro_gateway_connections_total")
+        self.reset()
         if register:
             get_registry().register_collector(
-                f"gateway.{name}", self.collect_metrics)
+                f"gateway.{name}", self._registry.collect)
 
     # ------------------------------------------------------------------ recording
     def connection_opened(self) -> None:
         with self._lock:
-            self._connections += 1
-            self._connections_total += 1
+            self._connections.inc()
+            self._connections_total.inc()
 
     def connection_closed(self) -> None:
-        with self._lock:
-            self._connections -= 1
+        self._connections.dec()
 
     def record_accept(self, priority: str) -> None:
         """One request passed gateway admission and entered the scheduler."""
-        with self._lock:
-            self._accepted[priority] = self._accepted.get(priority, 0) + 1
+        self._requests.inc(outcome="accepted", **{"class": priority})
 
     def record_reject(self, reason: str, priority: str) -> None:
         """One request answered with an error frame at gateway admission."""
-        key = (reason, priority)
-        with self._lock:
-            self._rejected[key] = self._rejected.get(key, 0) + 1
+        self._rejects.inc(reason=reason, **{"class": priority})
 
     def record_expiry(self, priority: str) -> None:
         """One accepted request dropped downstream on deadline expiry."""
-        with self._lock:
-            self._expired[priority] = self._expired.get(priority, 0) + 1
+        self._expiries.inc(**{"class": priority})
 
     def record_completion(self, priority: str, latency_seconds: float,
                           failed: bool = False) -> None:
         """One accepted request answered (result or non-expiry error frame)."""
         with self._lock:
             if failed:
-                self._failed[priority] = self._failed.get(priority, 0) + 1
+                self._requests.inc(outcome="failed", **{"class": priority})
                 return
-            self._completed[priority] = self._completed.get(priority, 0) + 1
-            stats = self._latency.get(priority)
-            if stats is None:
-                stats = self._latency[priority] = LatencyStats()
-            stats.add(latency_seconds)
+            self._requests.inc(outcome="completed", **{"class": priority})
+            self._latency.observe(latency_seconds, **{"class": priority})
 
     def reset(self) -> None:
-        """Zero the request ledgers (connection gauges are left alone)."""
+        """Zero the request ledgers (connection counts carry across)."""
         with self._lock:
-            self._accepted = {}
-            self._rejected = {}
-            self._expired = {}
-            self._completed = {}
-            self._failed = {}
-            self._latency = {}
+            open_now = self._connections.value()
+            total = self._connections_total.value()
+            self._registry.reset()
+            self._connections.set(open_now)
+            self._connections_total.inc(total)
 
     # ------------------------------------------------------------------ reporting
     def report(self) -> Dict[str, object]:
@@ -354,70 +350,18 @@ class GatewayMetrics:
         with self._lock:
             return {
                 "connections": {
-                    "open": self._connections,
-                    "total": self._connections_total,
+                    "open": int(self._connections.value()),
+                    "total": int(self._connections_total.value()),
                 },
                 "requests": {
-                    "accepted": dict(sorted(self._accepted.items())),
-                    "rejected": {
-                        f"{reason}/{cls}": count
-                        for (reason, cls), count in sorted(self._rejected.items())
-                    },
-                    "expired": dict(sorted(self._expired.items())),
-                    "completed": dict(sorted(self._completed.items())),
-                    "failed": dict(sorted(self._failed.items())),
+                    "accepted": _by_class(self._requests, "accepted"),
+                    "rejected": _by_reason(self._rejects),
+                    "expired": _by_class(self._expiries),
+                    "completed": _by_class(self._requests, "completed"),
+                    "failed": _by_class(self._requests, "failed"),
                 },
                 "latency": {
                     cls: stats.summary()
-                    for cls, stats in sorted(self._latency.items())
+                    for (cls,), stats in sorted(self._latency.items())
                 },
             }
-
-    def collect_metrics(self) -> List[Sample]:
-        """Obs-registry collector: the gateway's series under its label."""
-        labels = {"gateway": self.name}
-        with self._lock:
-            accepted = dict(self._accepted)
-            rejected = dict(self._rejected)
-            expired = dict(self._expired)
-            completed = dict(self._completed)
-            failed = dict(self._failed)
-            connections = self._connections
-            latency = {
-                cls: stats for cls, stats in self._latency.items()}
-            merged: Dict[str, LatencyStats] = {}
-            for cls, stats in latency.items():
-                copy = LatencyStats()
-                copy.merge(stats)
-                merged[cls] = copy
-        samples = [Sample("repro_gateway_connections", labels,
-                          float(connections), "gauge")]
-        for cls, count in sorted(accepted.items()):
-            samples.append(Sample(
-                "repro_gateway_requests_total",
-                dict(labels, outcome="accepted", **{"class": cls}),
-                float(count), "counter"))
-        for (reason, cls), count in sorted(rejected.items()):
-            samples.append(Sample(
-                "repro_gateway_rejects_total",
-                dict(labels, reason=reason, **{"class": cls}),
-                float(count), "counter"))
-        for cls, count in sorted(expired.items()):
-            samples.append(Sample(
-                "repro_gateway_deadline_expiries_total",
-                dict(labels, **{"class": cls}), float(count), "counter"))
-        for cls, count in sorted(completed.items()):
-            samples.append(Sample(
-                "repro_gateway_requests_total",
-                dict(labels, outcome="completed", **{"class": cls}),
-                float(count), "counter"))
-        for cls, count in sorted(failed.items()):
-            samples.append(Sample(
-                "repro_gateway_requests_total",
-                dict(labels, outcome="failed", **{"class": cls}),
-                float(count), "counter"))
-        for cls, stats in sorted(merged.items()):
-            samples.extend(summary_samples(
-                "repro_gateway_latency_seconds",
-                dict(labels, **{"class": cls}), stats))
-        return samples

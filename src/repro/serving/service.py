@@ -37,9 +37,9 @@ from repro.serving.batcher import (
     BatchPolicy,
     DynamicBatcher,
     InferenceFuture,
-    ServiceClosedError,
     submit_stack,
 )
+from repro.serving.errors import ServiceClosedError
 from repro.serving.metrics import ServingMetrics
 from repro.serving.pool import ModelPool, PooledModel
 
@@ -248,10 +248,8 @@ class InferenceService:
             "queue_capacity": self.policy.queue_capacity,
         }
         with self._lock:
-            report["engine"] = {
-                key.rsplit("/", 1)[-1]: batcher.stats.as_dict()
-                for key, batcher in self._batchers.items()
-            }
+            names = [batcher.name for batcher in self._batchers.values()]
+        report["engine"] = {name: self.metrics.engine_report(name) for name in names}
         return report
 
     def stats(self) -> Dict[str, Any]:

@@ -2,9 +2,10 @@
 
 Beyond the stopwatch (:class:`Timer`) and the training-loop mean
 (:class:`RunningAverage`), this module owns the repo's percentile machinery:
-:func:`percentile` and :class:`LatencyStats` are what the serving metrics
-(:mod:`repro.serving.metrics`) and the engine's :class:`repro.engine.runner.RunnerStats`
-use to report p50/p95/p99 latency instead of a bare mean.
+:func:`percentile` and :class:`LatencyStats` are what the obs registry's
+histograms (and so every serving ledger) and the engine's
+:class:`repro.engine.runner.RunnerStats` use to report p50/p95/p99 latency
+instead of a bare mean.
 """
 
 from __future__ import annotations
@@ -109,7 +110,7 @@ class LatencyStats:
     running aggregates independent of the reservoir.
 
     Not thread-safe on its own — concurrent writers must hold their own lock
-    (see :class:`repro.serving.metrics.ServingMetrics`).
+    (see :class:`repro.obs.registry.Histogram`).
 
     Example
     -------
@@ -167,18 +168,20 @@ class LatencyStats:
     def merge(self, other: "LatencyStats") -> None:
         """Fold ``other``'s aggregates and reservoir into this collector.
 
-        Exact aggregates (count/sum/max) stay exact; the reservoir absorbs the
-        other side's retained samples.  Used when per-worker ledgers are rolled
-        up into a cluster-wide view.
+        Exact aggregates (count/sum/max) stay exact; the merged reservoir
+        draws from each side in proportion to its *count*, so percentiles
+        weight both streams by their size whatever the merge order.  Used
+        when per-worker reservoirs are rolled up into a cluster-wide view.
         """
-        for value in other.samples:
-            if len(self.samples) < self.capacity:
-                self.samples.append(value)
-            else:
-                slot = self._rng.randrange(max(self._count, 1))
-                if slot < self.capacity:
-                    self.samples[slot] = value
-        self._count += other._count
+        total = self._count + other._count
+        if total:
+            share = round(self.capacity * other._count / total)
+            take_other = min(len(other.samples), share)
+            take_self = min(len(self.samples), self.capacity - take_other)
+            take_other = min(len(other.samples), self.capacity - take_self)
+            self.samples = (self._rng.sample(self.samples, take_self)
+                            + self._rng.sample(other.samples, take_other))
+        self._count = total
         self._total += other._total
         if other._max > self._max:
             self._max = other._max

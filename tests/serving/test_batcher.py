@@ -8,12 +8,8 @@ import time
 import numpy as np
 import pytest
 
-from repro.serving.batcher import (
-    BatchPolicy,
-    DynamicBatcher,
-    QueueFullError,
-    ServiceClosedError,
-)
+from repro.serving.batcher import BatchPolicy, DynamicBatcher
+from repro.serving.errors import QueueFullError, ServiceClosedError
 from repro.serving.metrics import ServingMetrics
 
 IMAGE = np.ones((3, 8, 8), dtype=np.float32)
@@ -253,20 +249,78 @@ class TestErrors:
             batcher.shutdown(10.0)
 
 
-class TestStatsReuse:
-    def test_batcher_accounts_with_runner_stats(self):
-        """The batcher reuses the engine's RunnerStats for its accounting."""
-        from repro.engine.runner import RunnerStats
-
+class TestAccounting:
+    def test_batcher_accounts_through_one_ledger(self):
+        """Images, batches and rate come from the batcher's one ServingMetrics
+        (a private one when none is passed), keyed by the batcher's name."""
         runner = RecordingRunner()
-        batcher = DynamicBatcher(runner, BatchPolicy(max_batch_size=2, max_wait_ms=5.0))
+        batcher = DynamicBatcher(runner, BatchPolicy(max_batch_size=2, max_wait_ms=5.0),
+                                 name="acct")
         try:
             for _ in range(4):
                 batcher.submit(IMAGE).result(10.0)
-            assert isinstance(batcher.stats, RunnerStats)
-            assert batcher.stats.images == 4
-            assert batcher.stats.batches >= 2
-            assert batcher.stats.images_per_second > 0
-            assert batcher.stats.batch_latency().count == batcher.stats.batches
         finally:
             batcher.shutdown(10.0)
+        engine = batcher.metrics.engine_report("acct")
+        assert engine["images"] == 4
+        assert engine["batches"] >= 2
+        assert engine["images_per_second"] > 0
+        batches = batcher.metrics.report()["batches"]
+        assert batches["count"] == engine["batches"] == len(runner.batch_sizes)
+        assert batcher.metrics.mean_batch_seconds("acct") > 0.0
+
+    def test_reset_zeroes_the_expected_wait_estimate(self):
+        gate = threading.Event()
+        runner = RecordingRunner(gate=gate)
+        batcher = DynamicBatcher(runner, BatchPolicy(max_batch_size=1, max_wait_ms=0.0))
+        try:
+            gate.set()
+            batcher.submit(IMAGE).result(10.0)
+            runner.started.clear()
+            gate.clear()
+            first = batcher.submit(IMAGE)             # stalls the worker
+            assert runner.started.wait(10.0)
+            queued = batcher.submit(IMAGE)
+            assert batcher.expected_wait_seconds() > 0.0
+            batcher.metrics.reset()
+            assert batcher.expected_wait_seconds() == 0.0
+            gate.set()
+            first.result(10.0)
+            queued.result(10.0)
+        finally:
+            gate.set()
+            batcher.shutdown(10.0)
+
+    def test_retained_accounting_does_not_grow_with_batches(self):
+        """Every per-batch aggregate is a bounded reservoir: after 10k and
+        again after 20k single-image batches the batcher retains the same
+        accounting memory (no per-batch list)."""
+        import gc
+        import tracemalloc
+
+        batcher = DynamicBatcher(lambda batch: batch,
+                                 BatchPolicy(max_batch_size=1, max_wait_ms=0.0))
+        # Two frames reach the caller of the line that allocates, so a list
+        # appended to from the batcher's worker counts as the batcher's.
+        filters = [tracemalloc.Filter(True, "*serving*", all_frames=True),
+                   tracemalloc.Filter(True, "*utils/profiling.py", all_frames=True)]
+        image = np.ones((1, 2, 2), dtype=np.float32)
+
+        def retained_after(batches: int) -> int:
+            for _ in range(batches // 100):
+                futures = [batcher.submit(image, block=True) for _ in range(100)]
+                for future in futures:
+                    future.result(10.0)
+            gc.collect()
+            snapshot = tracemalloc.take_snapshot().filter_traces(filters)
+            return sum(stat.size for stat in snapshot.statistics("filename"))
+
+        tracemalloc.start(2)
+        try:
+            after_10k = retained_after(10_000)
+            after_20k = retained_after(10_000)
+        finally:
+            tracemalloc.stop()
+            batcher.shutdown(10.0)
+        assert batcher.metrics.report()["batches"]["count"] == 20_000
+        assert after_20k - after_10k < 16 * 1024, (after_10k, after_20k)

@@ -110,7 +110,8 @@ class TestPostprocess:
 
     def test_postprocess_failure_counts_as_failed(self, serve_artifact, images):
         """A postprocess exception fails the future AND the metrics: the failed
-        request must not land in the success latency distribution."""
+        request is neither ``completed`` nor in the success latency
+        distribution, and after the drain every admission is accounted for."""
         calls = {"count": 0}
 
         def post(raw):
@@ -126,10 +127,18 @@ class TestPostprocess:
             with pytest.raises(RuntimeError, match="decode boom"):
                 first.result(30.0)
             svc.submit(images[1]).result(30.0)
-            report = svc.report()
-        assert report["requests"]["failed"] == 1
-        assert report["requests"]["completed"] == 2
+        report = svc.report()                         # after the drain
+        requests = report["requests"]
+        assert requests["failed"] == 1
+        assert requests["completed"] == 1
         assert report["latency"]["count"] == 1
+        assert requests["admitted"] == (
+            requests["completed"] + requests["failed"]
+            + sum(requests["expired"].values())
+            + sum(count for key, count in requests["rejected_by"].items()
+                  if key.startswith("preempted/")))
+        assert svc.metrics.throughput() > 0.0
+        assert report["throughput_rps"] == round(svc.metrics.throughput(), 2)
 
     def test_postprocess_matches_direct_decode(self, serve_artifact, images):
         from repro.detection.postprocess import decode_yolo_single_scale

@@ -113,6 +113,42 @@ class TestLatencyStats:
         assert summary == {"count": 0, "mean_ms": 0.0, "p50_ms": 0.0,
                            "p95_ms": 0.0, "p99_ms": 0.0, "max_ms": 0.0}
 
+    @staticmethod
+    def _saturated(seconds: float, count: int = 100_000) -> LatencyStats:
+        stats = LatencyStats()
+        stats.extend(seconds for _ in range(count))
+        return stats
+
+    def test_merge_weights_each_side_by_its_count(self):
+        """Merging two saturated reservoirs of equal counts gives each side
+        half the merged samples, and p95 does not depend on merge order."""
+        p95 = []
+        for first, second in ((0.001, 0.100), (0.100, 0.001)):
+            merged = LatencyStats()
+            merged.merge(self._saturated(first))
+            merged.merge(self._saturated(second))
+            share = merged.samples.count(0.100) / len(merged.samples)
+            assert share == pytest.approx(0.5, abs=0.05)
+            assert merged.count == 200_000
+            assert merged.max_seconds == 0.100
+            p95.append(merged.quantile_seconds(95))
+        assert p95[0] == p95[1] == 0.100
+
+    def test_merge_of_unequal_counts_tracks_the_counts(self):
+        merged = self._saturated(0.001, count=10_000)
+        merged.merge(self._saturated(0.100, count=30_000))
+        share = merged.samples.count(0.100) / len(merged.samples)
+        assert share == pytest.approx(0.75, abs=0.05)
+        assert len(merged.samples) == merged.capacity
+
+    def test_merge_keeps_every_sample_while_both_fit(self):
+        left, right = LatencyStats(), LatencyStats()
+        left.extend([0.001, 0.002])
+        right.extend([0.003])
+        left.merge(right)
+        assert sorted(left.samples) == [0.001, 0.002, 0.003]
+        assert left.count == 3 and left.total_seconds == pytest.approx(0.006)
+
     def test_profiling_doctests_pass(self):
         """The module's doctests are part of its contract (LatencyStats/percentile)."""
         import doctest
